@@ -18,6 +18,13 @@ scripts/check_kernel_odr.sh build         # ISA/ODR leak check on kernel TUs
 scripts/check_determinism_lint.sh         # banned nondeterminism constructs
 scripts/check_units_lint.sh               # raw-double unit leaks in public headers
 
+echo "== benchmark =="
+# The benchmark's own test: builds perfbench/ (into $CARGO_TARGET_DIR or
+# .bench_build/), runs a 1-s `serve` replay at seed 2020 against
+# perfbench/reference/ and checks the result line against BENCHMARK.json,
+# so a drift in the serving report fails here.
+python3 perfbench/test_perfbench.py
+
 echo "== benches (paper tables & figures) =="
 for b in build/bench/bench_*; do
   [ -x "$b" ] || continue

@@ -15,6 +15,21 @@
 
 namespace ccperf::cloud {
 
+namespace {
+
+// Mean, then p50/p95/p99 by one in-place selection pass over `latencies`
+// (non-empty); the mean comes first so it sums in completion order.
+void SummarizeLatencies(std::vector<double> latencies, ServingReport& report) {
+  constexpr double kPercentiles[] = {0.50, 0.95, 0.99};
+  report.mean_latency_s = MeanOf(latencies);
+  const std::vector<double> q = SelectQuantiles(latencies, kPercentiles);
+  report.p50_latency_s = q[0];
+  report.p95_latency_s = q[1];
+  report.p99_latency_s = q[2];
+}
+
+}  // namespace
+
 void ValidateServingPolicy(const ServingPolicy& policy) {
   CCPERF_CHECK(policy.max_batch >= 1, "max_batch must be >= 1, got ",
                policy.max_batch);
@@ -214,12 +229,7 @@ ServingReport ServingSimulator::SimulateTrace(
         1.0 - static_cast<double>(in_deadline) /
                   static_cast<double>(report.requests);
   }
-  if (!latencies.empty()) {
-    report.mean_latency_s = MeanOf(latencies);
-    report.p50_latency_s = Quantile(latencies, 0.50);
-    report.p95_latency_s = Quantile(latencies, 0.95);
-    report.p99_latency_s = Quantile(latencies, 0.99);
-  }
+  if (!latencies.empty()) SummarizeLatencies(std::move(latencies), report);
   double busy = 0.0;
   for (const auto& gpu : gpus) busy += gpu.busy;
   report.utilization =
@@ -709,12 +719,7 @@ ServingReport FaultedServingEngine::Finish() const {
   CCPERF_CHECK(Done(), "Finish() before the serving engine is done");
   ServingReport report = report_;
   if (arrivals_.empty()) return report;
-  if (!latencies_.empty()) {
-    report.mean_latency_s = MeanOf(latencies_);
-    report.p50_latency_s = Quantile(latencies_, 0.50);
-    report.p95_latency_s = Quantile(latencies_, 0.95);
-    report.p99_latency_s = Quantile(latencies_, 0.99);
-  }
+  if (!latencies_.empty()) SummarizeLatencies(latencies_, report);
   report.goodput_per_s = static_cast<double>(in_deadline_) / duration_s_;
   report.accuracy_weighted_goodput =
       report.goodput_per_s * variant_accuracy_;
@@ -832,14 +837,9 @@ std::string FaultedServingEngine::Checkpoint() const {
   // Per-request redundancy bookkeeping. done_ packs to one byte per
   // request; the count vectors reuse the I64Vector framing.
   SnapshotSectionWriter& redundancy = writer.AddSection("redundancy");
-  redundancy.PutU64(done_.size());
-  for (const std::uint8_t d : done_) redundancy.PutU8(d);
-  {
-    std::vector<std::int64_t> wide(copies_live_.begin(), copies_live_.end());
-    redundancy.PutI64Vector(wide);
-    wide.assign(hedges_used_.begin(), hedges_used_.end());
-    redundancy.PutI64Vector(wide);
-  }
+  redundancy.PutU8Vector(done_);
+  redundancy.PutI64Vector({copies_live_.begin(), copies_live_.end()});
+  redundancy.PutI64Vector({hedges_used_.begin(), hedges_used_.end()});
 
   writer.AddSection("latencies").PutF64Vector(latencies_);
   return writer.Serialize();
@@ -957,13 +957,11 @@ void FaultedServingEngine::Restore(const std::string& snapshot) {
                "corrupt serving snapshot: bad duplicate service time");
 
   SnapshotSectionReader redundancy = reader.Section("redundancy");
-  const std::uint64_t request_count = redundancy.TakeU64();
-  CCPERF_CHECK(request_count == arrivals_.size(),
+  std::vector<std::uint8_t> new_done = redundancy.TakeU8Vector();
+  CCPERF_CHECK(new_done.size() == arrivals_.size(),
                "corrupt serving snapshot: redundancy state for ",
-               request_count, " requests, trace has ", arrivals_.size());
-  std::vector<std::uint8_t> new_done(arrivals_.size());
-  for (std::uint8_t& d : new_done) {
-    d = redundancy.TakeU8();
+               new_done.size(), " requests, trace has ", arrivals_.size());
+  for (const std::uint8_t d : new_done) {
     CCPERF_CHECK(d <= 1, "corrupt serving snapshot: done flag ",
                  static_cast<int>(d));
   }

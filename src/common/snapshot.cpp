@@ -1,9 +1,11 @@
 #include "common/snapshot.h"
 
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -13,6 +15,13 @@
 #include "common/check.h"
 
 namespace ccperf {
+
+// The format is little-endian, and fields, vectors and the CRC's 8-byte
+// words are copied in host byte order; a big-endian host would write and
+// read snapshots no little-endian host can parse, so it must not compile.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot fields are copied in host byte order and the format "
+              "is little-endian");
 
 namespace {
 
@@ -25,17 +34,30 @@ constexpr std::uint64_t kMaxSectionBytes = 1ull << 31;
 constexpr std::size_t kMaxSections = 1024;
 constexpr std::size_t kMaxVectorElements = 1u << 28;
 
-std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8 tables: tables[0] is the byte-at-a-time table, and
+// tables[k][b] is the CRC of byte b followed by k zero bytes, so one 8-byte
+// word folds in with eight independent lookups.
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t c = tables[k - 1][i];
+      tables[k][i] = (c >> 8) ^ tables[0][c & 0xFFu];
+    }
+  }
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = BuildCrcTables();
 
 template <typename T>
 void AppendPod(std::string& out, T v) {
@@ -70,14 +92,29 @@ void FsyncParentDir(const std::string& path) {
 
 }  // namespace
 
-std::uint32_t Crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = BuildCrcTable();
+std::uint32_t Crc32Update(std::uint32_t crc, const void* data,
+                          std::size_t size) {
+  const CrcTables& t = kCrcTables;
   const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  crc ^= 0xFFFFFFFFu;
+  for (; size >= 8; bytes += 8, size -= 8) {
+    std::uint32_t lo;
+    std::uint32_t hi;
+    std::memcpy(&lo, bytes, sizeof(lo));
+    std::memcpy(&hi, bytes + 4, sizeof(hi));
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t Crc32(const void* data, std::size_t size) {
+  return Crc32Update(0, data, size);
 }
 
 std::uint32_t Crc32(const std::string& bytes) {
@@ -109,15 +146,24 @@ void SnapshotSectionWriter::PutString(const std::string& s) {
   bytes_.append(s);
 }
 
-void SnapshotSectionWriter::PutF64Vector(const std::vector<double>& v) {
+template <typename T>
+void SnapshotSectionWriter::PutVector(const std::vector<T>& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
   PutPod(static_cast<std::uint64_t>(v.size()));
-  for (double d : v) PutF64(d);
+  bytes_.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+}
+
+void SnapshotSectionWriter::PutF64Vector(const std::vector<double>& v) {
+  PutVector(v);
 }
 
 void SnapshotSectionWriter::PutI64Vector(
     const std::vector<std::int64_t>& v) {
-  PutPod(static_cast<std::uint64_t>(v.size()));
-  for (std::int64_t i : v) PutPod(i);
+  PutVector(v);
+}
+
+void SnapshotSectionWriter::PutU8Vector(const std::vector<std::uint8_t>& v) {
+  PutVector(v);
 }
 
 SnapshotWriter::SnapshotWriter(std::uint32_t app_tag) : app_tag_(app_tag) {}
@@ -133,26 +179,35 @@ SnapshotSectionWriter& SnapshotWriter::AddSection(const std::string& name) {
 }
 
 std::string SnapshotWriter::Serialize() const {
+  std::size_t size = sizeof(kMagic) + 4 * sizeof(std::uint32_t) +
+                     sizeof(kFooter);
+  for (const auto& [name, section] : sections_) {
+    size += sizeof(std::uint16_t) + name.size() + sizeof(std::uint64_t) +
+            sizeof(std::uint32_t) + section.Bytes().size();
+  }
   std::string out;
+  out.reserve(size);
   out.append(kMagic, sizeof(kMagic));
-  std::string header;
-  AppendPod<std::uint32_t>(header, kFormatVersion);
-  AppendPod<std::uint32_t>(header, app_tag_);
-  AppendPod<std::uint32_t>(header, static_cast<std::uint32_t>(sections_.size()));
-  out.append(header);
-  AppendPod<std::uint32_t>(out, Crc32(header));
+  const std::size_t header_start = out.size();
+  AppendPod<std::uint32_t>(out, kFormatVersion);
+  AppendPod<std::uint32_t>(out, app_tag_);
+  AppendPod<std::uint32_t>(out, static_cast<std::uint32_t>(sections_.size()));
+  AppendPod<std::uint32_t>(
+      out, Crc32(out.data() + header_start, out.size() - header_start));
   for (const auto& [name, section] : sections_) {
     // The CRC covers the section's frame fields (name length, name,
     // payload size) as well as the payload, so a flipped bit anywhere in
     // the section is caught, not just inside the payload.
-    std::string frame;
-    AppendPod<std::uint16_t>(frame, static_cast<std::uint16_t>(name.size()));
-    frame.append(name);
-    AppendPod<std::uint64_t>(
-        frame, static_cast<std::uint64_t>(section.Bytes().size()));
-    out.append(frame);
-    AppendPod<std::uint32_t>(out, Crc32(frame + section.Bytes()));
-    out.append(section.Bytes());
+    const std::string& payload = section.Bytes();
+    const std::size_t frame_start = out.size();
+    AppendPod<std::uint16_t>(out, static_cast<std::uint16_t>(name.size()));
+    out.append(name);
+    AppendPod<std::uint64_t>(out, static_cast<std::uint64_t>(payload.size()));
+    const std::uint32_t frame_crc =
+        Crc32(out.data() + frame_start, out.size() - frame_start);
+    AppendPod<std::uint32_t>(
+        out, Crc32Update(frame_crc, payload.data(), payload.size()));
+    out.append(payload);
   }
   out.append(kFooter, sizeof(kFooter));
   return out;
@@ -234,24 +289,29 @@ std::string SnapshotSectionReader::TakeString() {
   return s;
 }
 
-std::vector<double> SnapshotSectionReader::TakeF64Vector() {
+template <typename T>
+std::vector<T> SnapshotSectionReader::TakeVector() {
+  static_assert(std::is_trivially_copyable_v<T>);
   const auto count = TakePod<std::uint64_t>();
-  CCPERF_CHECK(count <= kMaxVectorElements && count * 8 <= Remaining(),
+  CCPERF_CHECK(count <= kMaxVectorElements && count * sizeof(T) <= Remaining(),
                "corrupt snapshot: implausible vector length ", count);
-  std::vector<double> v;
-  v.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) v.push_back(TakeF64());
+  std::vector<T> v(static_cast<std::size_t>(count));
+  const std::size_t bytes = v.size() * sizeof(T);
+  if (bytes > 0) std::memcpy(v.data(), payload_.data() + offset_, bytes);
+  offset_ += bytes;
   return v;
 }
 
+std::vector<double> SnapshotSectionReader::TakeF64Vector() {
+  return TakeVector<double>();
+}
+
 std::vector<std::int64_t> SnapshotSectionReader::TakeI64Vector() {
-  const auto count = TakePod<std::uint64_t>();
-  CCPERF_CHECK(count <= kMaxVectorElements && count * 8 <= Remaining(),
-               "corrupt snapshot: implausible vector length ", count);
-  std::vector<std::int64_t> v;
-  v.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) v.push_back(TakePod<std::int64_t>());
-  return v;
+  return TakeVector<std::int64_t>();
+}
+
+std::vector<std::uint8_t> SnapshotSectionReader::TakeU8Vector() {
+  return TakeVector<std::uint8_t>();
 }
 
 void SnapshotSectionReader::ExpectEnd() const {
@@ -300,9 +360,10 @@ SnapshotReader SnapshotReader::Parse(const std::string& bytes,
   take_pod(&version);
   take_pod(&tag);
   take_pod(&section_count);
-  const std::string header = bytes.substr(header_start, offset - header_start);
+  const std::uint32_t header_crc_computed =
+      Crc32(bytes.data() + header_start, offset - header_start);
   take_pod(&header_crc);
-  CCPERF_CHECK(header_crc == Crc32(header),
+  CCPERF_CHECK(header_crc == header_crc_computed,
                "corrupt snapshot: header CRC mismatch");
   CCPERF_CHECK(version == kFormatVersion,
                "unsupported snapshot format version ", version);
@@ -321,18 +382,19 @@ SnapshotReader SnapshotReader::Parse(const std::string& bytes,
     offset += name_len;
     std::uint64_t payload_size = 0;
     take_pod(&payload_size);
-    const std::string frame = bytes.substr(frame_start, offset - frame_start);
+    const std::uint32_t frame_crc =
+        Crc32(bytes.data() + frame_start, offset - frame_start);
     std::uint32_t section_crc = 0;
     take_pod(&section_crc);
     CCPERF_CHECK(payload_size <= kMaxSectionBytes,
                  "corrupt snapshot: implausible section size ", payload_size);
-    require(static_cast<std::size_t>(payload_size));
-    std::string payload =
-        bytes.substr(offset, static_cast<std::size_t>(payload_size));
-    offset += static_cast<std::size_t>(payload_size);
-    CCPERF_CHECK(section_crc == Crc32(frame + payload),
+    const auto size = static_cast<std::size_t>(payload_size);
+    require(size);
+    const char* payload = bytes.data() + offset;
+    offset += size;
+    CCPERF_CHECK(section_crc == Crc32Update(frame_crc, payload, size),
                  "corrupt snapshot: section '", name, "' CRC mismatch");
-    reader.sections_.emplace_back(std::move(name), std::move(payload));
+    reader.sections_.emplace_back(std::move(name), std::string(payload, size));
   }
   require(sizeof(kFooter));
   CCPERF_CHECK(

@@ -10,11 +10,12 @@
 //            the frame fields + payload, payload bytes
 //   footer : "SNEN" magic
 //
-// Every multi-byte field is little-endian; doubles are stored as their raw
-// IEEE-754 bit pattern so a restored state is *bitwise* identical to the
-// captured one. The reader validates magic, version, app tag, bounds and
-// per-section CRCs and throws CheckError on any violation — a corrupted or
-// truncated snapshot can never restore garbage state.
+// Every multi-byte field is little-endian (fields are copied in host order,
+// so the library builds only on little-endian hosts); doubles are stored as
+// their raw IEEE-754 bit pattern so a restored state is *bitwise* identical
+// to the captured one. The reader validates magic, version, app tag, bounds
+// and per-section CRCs and throws CheckError on any violation — a corrupted
+// or truncated snapshot can never restore garbage state.
 //
 // WriteSnapshotFileAtomic writes to "<path>.tmp" and renames over <path>,
 // so a crash mid-checkpoint leaves the previous good snapshot intact.
@@ -30,6 +31,11 @@ namespace ccperf {
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `size` bytes.
 std::uint32_t Crc32(const void* data, std::size_t size);
 std::uint32_t Crc32(const std::string& bytes);
+/// Extends `crc`, the CRC-32 of some bytes, to the CRC-32 of those bytes
+/// followed by `size` more: Crc32Update(Crc32(a), b) == Crc32(a + b), and
+/// Crc32Update(0, b) == Crc32(b).
+std::uint32_t Crc32Update(std::uint32_t crc, const void* data,
+                          std::size_t size);
 
 /// Structural integrity verdict for snapshot bytes of ANY app tag: magic,
 /// version, header CRC, framing bounds, every section CRC and the footer.
@@ -50,14 +56,19 @@ class SnapshotSectionWriter {
   /// Raw bit pattern — round-trips NaN/inf/-0.0 exactly.
   void PutF64(double v);
   void PutString(const std::string& s);
+  // Vectors are a u64 element count followed by the elements, written in
+  // one append.
   void PutF64Vector(const std::vector<double>& v);
   void PutI64Vector(const std::vector<std::int64_t>& v);
+  void PutU8Vector(const std::vector<std::uint8_t>& v);
 
   [[nodiscard]] const std::string& Bytes() const { return bytes_; }
 
  private:
   template <typename T>
   void PutPod(T v);
+  template <typename T>
+  void PutVector(const std::vector<T>& v);
 
   std::string bytes_;
 };
@@ -103,6 +114,7 @@ class SnapshotSectionReader {
   std::string TakeString();
   std::vector<double> TakeF64Vector();
   std::vector<std::int64_t> TakeI64Vector();
+  std::vector<std::uint8_t> TakeU8Vector();
 
   [[nodiscard]] std::size_t Remaining() const {
     return payload_.size() - offset_;
@@ -114,6 +126,8 @@ class SnapshotSectionReader {
  private:
   template <typename T>
   T TakePod();
+  template <typename T>
+  std::vector<T> TakeVector();
   void Require(std::size_t bytes) const;
 
   std::string payload_;

@@ -41,15 +41,45 @@ double MeanOf(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
-double Quantile(std::vector<double> values, double q) {
+double Quantile(std::span<const double> values, double q) {
+  return Quantiles(values, std::span<const double>(&q, 1)).front();
+}
+
+std::vector<double> Quantiles(std::span<const double> values,
+                              std::span<const double> ascending_qs) {
+  std::vector<double> scratch(values.begin(), values.end());
+  return SelectQuantiles(scratch, ascending_qs);
+}
+
+std::vector<double> SelectQuantiles(std::span<double> values,
+                                    std::span<const double> ascending_qs) {
   CCPERF_CHECK(!values.empty(), "Quantile requires a non-empty sample");
-  CCPERF_CHECK(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  for (std::size_t i = 0; i < ascending_qs.size(); ++i) {
+    const double q = ascending_qs[i];
+    CCPERF_CHECK(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
+    CCPERF_CHECK(i == 0 || ascending_qs[i - 1] <= q,
+                 "quantiles must be requested in ascending order");
+  }
+  // Each selection leaves [lo, end) holding exactly the order statistics
+  // from lo up, so the next (larger) q selects inside that shrinking range;
+  // the interpolation neighbour sorted[lo + 1] is the minimum above lo.
+  std::vector<double> out;
+  out.reserve(ascending_qs.size());
+  const std::size_t last = values.size() - 1;
+  auto first = values.begin();
+  for (const double q : ascending_qs) {
+    const double pos = q * static_cast<double>(last);
+    const auto lo = static_cast<std::size_t>(pos);
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(first, nth, values.end());
+    first = nth;
+    const double below = *nth;
+    const double above =
+        lo < last ? *std::min_element(nth + 1, values.end()) : below;
+    const double frac = pos - static_cast<double>(lo);
+    out.push_back(below * (1.0 - frac) + above * frac);
+  }
+  return out;
 }
 
 }  // namespace ccperf

@@ -26,6 +26,18 @@ double MinOf(std::span<const double> values);
 double MeanOf(std::span<const double> values);
 
 /// Linearly interpolated quantile q in [0, 1] of a non-empty sample.
-double Quantile(std::vector<double> values, double q);
+double Quantile(std::span<const double> values, double q);
+
+/// Quantile(values, q) for every q of `ascending_qs` (non-decreasing, each
+/// in [0, 1]): the same interpolation between sorted neighbours, bit for
+/// bit, from one scratch copy and one selection pass instead of a full sort
+/// per q.
+std::vector<double> Quantiles(std::span<const double> values,
+                              std::span<const double> ascending_qs);
+
+/// Quantiles() without the scratch copy: selects in place, leaving
+/// `values` in an unspecified order.
+std::vector<double> SelectQuantiles(std::span<double> values,
+                                    std::span<const double> ascending_qs);
 
 }  // namespace ccperf

@@ -16,6 +16,7 @@
 #include "cloud/serving.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
 
 namespace ccperf::cloud {
 namespace {
@@ -152,6 +153,28 @@ TEST_F(CheckpointTest, KillAtEveryFaultEventResumesBitwiseIdentically) {
     while (!resumed.Done()) resumed.Step();
     ExpectReportsIdentical(resumed.Finish(), reference);
   }
+}
+
+// The snapshot bytes themselves are pinned: size and CRC-32 of a mid-run
+// checkpoint of a small seeded faulted run, recorded from the
+// element-at-a-time encoder with the byte-at-a-time CRC that preceded the
+// bulk ones. A change to the engine's state layout or to the wire format
+// must show up here, not only as a failed restore.
+TEST_F(CheckpointTest, MidRunSnapshotBytesArePinned) {
+  const double duration = 90.0;
+  const auto trace = PoissonTrace(20.0, duration, 77);
+  const FaultSchedule faults = CrashStorm(2, duration, 13);
+  const ServingPolicy policy{
+      .max_batch = 16, .max_wait_s = 0.02, .deadline_s = 1.5};
+  const RetryPolicy retry{.max_retries = 4, .base_backoff_s = 0.02};
+  FaultedServingEngine engine(serving_, Fleet(2), perf_, trace, duration,
+                              policy, retry, faults);
+  while (!engine.Done() && engine.Watermark() < duration / 2) engine.Step();
+  ASSERT_EQ(trace.size(), 1819u);
+  ASSERT_EQ(engine.Watermark(), 45.089699497252965);
+  const std::string snapshot = engine.Checkpoint();
+  EXPECT_EQ(snapshot.size(), 38123u);
+  EXPECT_EQ(Crc32(snapshot), 0x5F8C400Cu);
 }
 
 TEST_F(CheckpointTest, Int8VariantResumesBitwiseIdenticallyMidRun) {

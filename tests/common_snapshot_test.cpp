@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 
@@ -38,11 +39,73 @@ SnapshotWriter MakeSample() {
   return writer;
 }
 
+/// Fixed-seed splitmix64 stream: test bytes that depend on nothing but
+/// this file.
+class SplitMix {
+ public:
+  explicit SplitMix(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t Next() {
+    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+/// Bit-at-a-time reflected CRC-32, with no table: the oracle for the
+/// library's sliced one.
+std::uint32_t BitwiseCrc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> SeededBuffer(std::size_t size) {
+  SplitMix gen(1984);
+  std::vector<unsigned char> buffer(size);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(gen.Next());
+  return buffer;
+}
+
 TEST(Crc32Test, MatchesKnownVectors) {
   // IEEE 802.3 check value for "123456789".
   EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
   EXPECT_EQ(Crc32(std::string("")), 0u);
   EXPECT_NE(Crc32(std::string("a")), Crc32(std::string("b")));
+}
+
+TEST(Crc32Test, SlicedMatchesBitwiseAtEveryLengthAndAlignment) {
+  // Lengths up to 256 cover every head/word/tail split of the 8-byte
+  // loop; start offsets 0..7 cover every alignment of its word loads.
+  const std::vector<unsigned char> buffer = SeededBuffer(256 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 256; ++length) {
+      const unsigned char* start = buffer.data() + offset;
+      ASSERT_EQ(Crc32(start, length), BitwiseCrc32(start, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, UpdateChainsAtEverySplitPoint) {
+  const std::vector<unsigned char> buffer = SeededBuffer(300);
+  const std::uint32_t whole = Crc32(buffer.data(), buffer.size());
+  EXPECT_EQ(whole, BitwiseCrc32(buffer.data(), buffer.size()));
+  EXPECT_EQ(Crc32Update(0, buffer.data(), buffer.size()), whole);
+  for (std::size_t split = 0; split <= buffer.size(); ++split) {
+    const std::uint32_t head = Crc32(buffer.data(), split);
+    ASSERT_EQ(Crc32Update(head, buffer.data() + split, buffer.size() - split),
+              whole)
+        << "split at " << split;
+  }
 }
 
 TEST(SnapshotTest, RoundTripsEveryFieldBitwise) {
@@ -77,6 +140,95 @@ TEST(SnapshotTest, RoundTripsEveryFieldBitwise) {
   EXPECT_EQ(ints[1], -1);
   EXPECT_EQ(ints[2], std::numeric_limits<std::int64_t>::max());
   EXPECT_NO_THROW(data.ExpectEnd());
+}
+
+/// Every Put* kind, and vectors of length 0, 1 and 1000 of every element
+/// type, from a fixed seed.
+SnapshotWriter MakeEveryKindSample() {
+  SplitMix gen(2020);
+  SnapshotWriter writer(kTag);
+  SnapshotSectionWriter& scalars = writer.AddSection("scalars");
+  scalars.PutU8(0xA5);
+  scalars.PutU32(0xDEADBEEFu);
+  scalars.PutU64(gen.Next());
+  scalars.PutI64(-static_cast<std::int64_t>(gen.Next() >> 1));
+  scalars.PutBool(true);
+  scalars.PutBool(false);
+  scalars.PutF64(-0.0);
+  scalars.PutString("pinned bytes");
+  for (const std::size_t n : {0u, 1u, 1000u}) {
+    std::vector<double> doubles(n);
+    std::vector<std::int64_t> ints(n);
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      // Raw bit patterns: NaN payloads and denormals included.
+      const std::uint64_t bits = gen.Next();
+      std::memcpy(&doubles[k], &bits, sizeof(bits));
+      ints[k] = static_cast<std::int64_t>(gen.Next());
+      bytes[k] = static_cast<std::uint8_t>(gen.Next());
+    }
+    SnapshotSectionWriter& section =
+        writer.AddSection("n" + std::to_string(n));
+    section.PutF64Vector(doubles);
+    section.PutI64Vector(ints);
+    section.PutU8Vector(bytes);
+  }
+  return writer;
+}
+
+TEST(SnapshotTest, EveryKindEncodesToPinnedBytes) {
+  // Size and CRC-32 of MakeEveryKindSample(), recorded from the
+  // element-at-a-time encoder (byte vectors as a u64 count plus one PutU8
+  // per byte) with the byte-at-a-time CRC that preceded the bulk ones. Any
+  // change to the wire format must show up here.
+  const std::string bytes = MakeEveryKindSample().Serialize();
+  EXPECT_EQ(bytes.size(), 17230u);
+  EXPECT_EQ(Crc32(bytes), 0xA7AE7457u);
+
+  // The bulk reader returns what the writer put, bit for bit.
+  const SnapshotReader reader = SnapshotReader::Parse(bytes, kTag);
+  SplitMix gen(2020);
+  SnapshotSectionReader scalars = reader.Section("scalars");
+  EXPECT_EQ(scalars.TakeU8(), 0xA5);
+  EXPECT_EQ(scalars.TakeU32(), 0xDEADBEEFu);
+  EXPECT_EQ(scalars.TakeU64(), gen.Next());
+  EXPECT_EQ(scalars.TakeI64(), -static_cast<std::int64_t>(gen.Next() >> 1));
+  EXPECT_TRUE(scalars.TakeBool());
+  EXPECT_FALSE(scalars.TakeBool());
+  EXPECT_TRUE(std::signbit(scalars.TakeF64()));
+  EXPECT_EQ(scalars.TakeString(), "pinned bytes");
+  EXPECT_NO_THROW(scalars.ExpectEnd());
+  for (const std::size_t n : {0u, 1u, 1000u}) {
+    SnapshotSectionReader section = reader.Section("n" + std::to_string(n));
+    const std::vector<double> doubles = section.TakeF64Vector();
+    const std::vector<std::int64_t> ints = section.TakeI64Vector();
+    const std::vector<std::uint8_t> bytes_back = section.TakeU8Vector();
+    EXPECT_NO_THROW(section.ExpectEnd());
+    ASSERT_EQ(doubles.size(), n);
+    ASSERT_EQ(ints.size(), n);
+    ASSERT_EQ(bytes_back.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &doubles[k], sizeof(bits));
+      EXPECT_EQ(bits, gen.Next());
+      EXPECT_EQ(ints[k], static_cast<std::int64_t>(gen.Next()));
+      EXPECT_EQ(bytes_back[k], static_cast<std::uint8_t>(gen.Next()));
+    }
+  }
+}
+
+TEST(SnapshotTest, BulkVectorReadsAreBoundsChecked) {
+  // A count that promises more elements than the payload holds must throw
+  // before any copy, for every element width.
+  SnapshotWriter writer(kTag);
+  SnapshotSectionWriter& section = writer.AddSection("short");
+  section.PutU64(3);
+  section.PutU8(1);
+  section.PutU8(0);
+  const SnapshotReader reader = SnapshotReader::Parse(writer.Serialize(), kTag);
+  EXPECT_THROW((void)reader.Section("short").TakeU8Vector(), CheckError);
+  EXPECT_THROW((void)reader.Section("short").TakeI64Vector(), CheckError);
+  EXPECT_THROW((void)reader.Section("short").TakeF64Vector(), CheckError);
 }
 
 TEST(SnapshotTest, RejectsWrongAppTagAndBadMagic) {

@@ -81,13 +81,14 @@ TEST_P(ConvMatchesNaive, ForwardEqualsDirectConvolution) {
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvMatchesNaive,
     ::testing::Values(
-        ConvCase{"k1s1", 1, 4, 5, {.out_channels = 3, .kernel = 1}},
+        ConvCase{"k1s1p0", 1, 4, 5, {.out_channels = 3, .kernel = 1}},
         ConvCase{"k3s1p1", 2, 3, 8,
                  {.out_channels = 6, .kernel = 3, .stride = 1, .pad = 1}},
         ConvCase{"k5s1p2", 1, 2, 9,
                  {.out_channels = 4, .kernel = 5, .stride = 1, .pad = 2}},
-        ConvCase{"k3s2", 1, 3, 9, {.out_channels = 2, .kernel = 3, .stride = 2}},
-        ConvCase{"k11s4", 1, 3, 23,
+        ConvCase{"k3s2p0", 1, 3, 9,
+                 {.out_channels = 2, .kernel = 3, .stride = 2}},
+        ConvCase{"k11s4p0", 1, 3, 23,
                  {.out_channels = 4, .kernel = 11, .stride = 4}},
         ConvCase{"grouped", 2, 4, 6,
                  {.out_channels = 6, .kernel = 3, .stride = 1, .pad = 1,
