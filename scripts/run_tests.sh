@@ -13,6 +13,7 @@
 #   scripts/run_tests.sh static     # lint gates: clang-tidy, kernel ODR/ISA
 #                                   # leak check, determinism lint, units
 #                                   # lint, units negative-compile proof
+#   scripts/run_tests.sh golden     # ccperf_calc frontiers vs tests/golden/
 #
 # Labels are assigned in tests/CMakeLists.txt via
 # ccperf_add_test(... LABELS x y); a suite may carry several. The static

@@ -221,20 +221,28 @@ void ArchitectureSpace::Validate() const {
   }
 }
 
-std::uint64_t ArchitectureSpace::Size() const {
+AxisSizes ArchitectureSpace::Sizes() const {
   Validate();
-  std::uint64_t size = 1;
-  const std::size_t axes[] = {variants_.size(),  type_names_.size(),
-                              counts_.size(),    batches_.size(),
-                              purchase_.size(),  checkpoints_.size(),
-                              degradations_.size(), SdcOptions().size()};
-  for (std::size_t axis : axes) {
-    const auto n = static_cast<std::uint64_t>(axis);
-    CCPERF_CHECK(size <= UINT64_MAX / n, "architecture space overflows 64 bits");
-    size *= n;
+  AxisSizes sizes;
+  sizes.variant = variants_.size();
+  sizes.type = type_names_.size();
+  sizes.count = counts_.size();
+  sizes.batch = batches_.size();
+  sizes.purchase = purchase_.size();
+  sizes.checkpoint = checkpoints_.size();
+  sizes.degradation = degradations_.size();
+  sizes.sdc = SdcOptions().size();
+  for (const std::uint64_t n :
+       {sizes.variant, sizes.type, sizes.count, sizes.batch, sizes.purchase,
+        sizes.checkpoint, sizes.degradation, sizes.sdc}) {
+    CCPERF_CHECK(sizes.total <= UINT64_MAX / n,
+                 "architecture space overflows 64 bits");
+    sizes.total *= n;
   }
-  return size;
+  return sizes;
 }
+
+std::uint64_t ArchitectureSpace::Size() const { return Sizes().total; }
 
 std::uint64_t ArchitectureSpace::Encode(const AxisPoint& point) const {
   CCPERF_CHECK(point.variant < variants_.size() &&
@@ -257,25 +265,29 @@ std::uint64_t ArchitectureSpace::Encode(const AxisPoint& point) const {
   return id;
 }
 
-AxisPoint ArchitectureSpace::Decode(std::uint64_t id) const {
-  CCPERF_CHECK(id < Size(), "flat id ", id, " out of range");
+AxisPoint AxisSizes::Decode(std::uint64_t id) const {
+  CCPERF_CHECK(id < total, "flat id ", id, " out of range");
   AxisPoint point;
-  point.sdc = static_cast<std::size_t>(id % SdcOptions().size());
-  id /= SdcOptions().size();
-  point.degradation = static_cast<std::size_t>(id % degradations_.size());
-  id /= degradations_.size();
-  point.checkpoint = static_cast<std::size_t>(id % checkpoints_.size());
-  id /= checkpoints_.size();
-  point.purchase = static_cast<std::size_t>(id % purchase_.size());
-  id /= purchase_.size();
-  point.batch = static_cast<std::size_t>(id % batches_.size());
-  id /= batches_.size();
-  point.count = static_cast<std::size_t>(id % counts_.size());
-  id /= counts_.size();
-  point.type = static_cast<std::size_t>(id % type_names_.size());
-  id /= type_names_.size();
+  point.sdc = static_cast<std::size_t>(id % sdc);
+  id /= sdc;
+  point.degradation = static_cast<std::size_t>(id % degradation);
+  id /= degradation;
+  point.checkpoint = static_cast<std::size_t>(id % checkpoint);
+  id /= checkpoint;
+  point.purchase = static_cast<std::size_t>(id % purchase);
+  id /= purchase;
+  point.batch = static_cast<std::size_t>(id % batch);
+  id /= batch;
+  point.count = static_cast<std::size_t>(id % count);
+  id /= count;
+  point.type = static_cast<std::size_t>(id % type);
+  id /= type;
   point.variant = static_cast<std::size_t>(id);
   return point;
+}
+
+AxisPoint ArchitectureSpace::Decode(std::uint64_t id) const {
+  return Sizes().Decode(id);
 }
 
 std::string ArchitectureSpace::Describe(std::uint64_t id) const {
@@ -304,9 +316,9 @@ ArchitectureEvaluator::ArchitectureEvaluator(const cloud::CloudSimulator& sim,
                                              Seconds restart)
     : sim_(sim),
       space_(space),
+      sizes_(space_.Sizes()),
       preemption_rate_per_hour_(preemption_rate.value()),
       restart_s_(restart.value()) {
-  space_.Validate();
   CCPERF_CHECK(preemption_rate_per_hour_ >= 0.0,
                "preemption rate must be >= 0");
   CCPERF_CHECK(restart_s_ >= 0.0, "restart time must be >= 0");
@@ -319,7 +331,7 @@ ArchitectureEvaluator::ArchitectureEvaluator(const cloud::CloudSimulator& sim,
 bool ArchitectureEvaluator::Evaluate(std::uint64_t id, std::int64_t images,
                                      ArchMetrics& out) const {
   CCPERF_CHECK(images >= 1, "need at least one image");
-  const AxisPoint p = space_.Decode(id);
+  const AxisPoint p = sizes_.Decode(id);
   const VariantSpec& variant = space_.Variants()[p.variant];
   const cloud::InstanceType& type = *types_[p.type];
   const int count = space_.Counts()[p.count];

@@ -157,6 +157,24 @@ struct AxisPoint {
   std::size_t sdc = 0;
 };
 
+/// The validated axis sizes of an ArchitectureSpace: the eight radices of
+/// its mixed-radix flat id and their product. A plain value, so a holder can
+/// validate the space once and then decode ids with arithmetic alone.
+struct AxisSizes {
+  std::uint64_t variant = 1;
+  std::uint64_t type = 1;
+  std::uint64_t count = 1;
+  std::uint64_t batch = 1;
+  std::uint64_t purchase = 1;
+  std::uint64_t checkpoint = 1;
+  std::uint64_t degradation = 1;
+  std::uint64_t sdc = 1;
+  std::uint64_t total = 1;  // product of the eight radices
+
+  /// Per-axis indices of flat id `id`; throws CheckError unless id < total.
+  [[nodiscard]] AxisPoint Decode(std::uint64_t id) const;
+};
+
 /// The combinatorial space: variant × instance type × count × batch ×
 /// purchase × checkpoint policy × degradation policy × SDC policy. Ids are
 /// mixed-radix with variant the slowest axis and SDC the fastest, so the
@@ -184,10 +202,15 @@ class ArchitectureSpace {
   /// Throws CheckError when an axis is empty or an entry is invalid.
   void Validate() const;
 
-  /// Product of the axis sizes.
+  /// Validates the space, then returns its axis sizes; throws CheckError
+  /// when their product overflows 64 bits.
+  [[nodiscard]] AxisSizes Sizes() const;
+
+  /// Product of the axis sizes (Sizes().total).
   [[nodiscard]] std::uint64_t Size() const;
 
   [[nodiscard]] std::uint64_t Encode(const AxisPoint& point) const;
+  /// Sizes().Decode(id).
   [[nodiscard]] AxisPoint Decode(std::uint64_t id) const;
 
   /// "conv1@30 | 4xp2.xlarge | batch=auto | spot | ckpt=adaptive | degr=none"
@@ -228,10 +251,11 @@ class ArchitectureSpace {
   std::vector<SdcOption> sdc_;  // empty = implicit {"off"}
 };
 
-/// Prices one flat id through the analytic models. Construction resolves
-/// every instance-type name once (no string lookups in the hot loop);
-/// Evaluate is a pure function of (id, images) — safe to call concurrently
-/// and bitwise-reproducible.
+/// Prices one flat id through the analytic models. Construction copies the
+/// space, validates it and resolves every instance-type name once (no
+/// validation or string lookups in the hot loop); later edits to the
+/// caller's space do not reach the evaluator. Evaluate is a pure function of
+/// (id, images) — safe to call concurrently and bitwise-reproducible.
 class ArchitectureEvaluator {
  public:
   /// `preemption_rate` is per instance (as EstimateSpotRun);
@@ -243,10 +267,12 @@ class ArchitectureEvaluator {
 
   /// False when the combination cannot exist (spot purchase of a type with
   /// no spot market); `out` untouched then. Deadline/budget feasibility is
-  /// the caller's filter, not this one.
+  /// the caller's filter, not this one. Throws CheckError unless
+  /// id < Space().Size().
   [[nodiscard]] bool Evaluate(std::uint64_t id, std::int64_t images,
                               ArchMetrics& out) const;
 
+  /// The evaluator's own copy of the space it was built from.
   [[nodiscard]] const ArchitectureSpace& Space() const { return space_; }
 
  private:
@@ -257,7 +283,8 @@ class ArchitectureEvaluator {
                      int count, Seconds base_seconds, ArchMetrics& out) const;
 
   const cloud::CloudSimulator& sim_;
-  const ArchitectureSpace& space_;
+  ArchitectureSpace space_;  // a copy: sizes_ and types_ cannot go stale
+  AxisSizes sizes_;          // validated once, at construction
   std::vector<const cloud::InstanceType*> types_;  // space type axis order
   double preemption_rate_per_hour_;
   double restart_s_;

@@ -1,6 +1,7 @@
 #include "core/pareto_sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -19,6 +20,48 @@ void CheckNoNaN(std::span<const double> values, const char* axis) {
   }
 }
 
+// Pre-pass window of SweepParetoFrontier3. Inputs arrive in an order with
+// locality (EnumerateFrontier offers the running frontier, then a block in
+// flat-id order, whose neighbours share variant, type and count), so a few
+// recent survivors cover most rows.
+constexpr std::size_t kWindowRows = 32;
+
+/// Indices of the rows that no earlier surviving row in a move-to-front
+/// window covers (time <=, cost <= and accuracy >=), in input order. A
+/// covering row moves to the front, and so does each new survivor.
+std::vector<std::size_t> DropCoveredRows(std::span<const double> time,
+                                         std::span<const double> cost,
+                                         std::span<const double> accuracy) {
+  struct Row {
+    double time, cost, accuracy;
+  };
+  const std::size_t n = time.size();
+  std::vector<std::size_t> survivors;
+  survivors.reserve(n);
+  std::array<Row, kWindowRows> window{};
+  std::size_t filled = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Row row{time[i], cost[i], accuracy[i]};
+    std::size_t w = 0;
+    while (w < filled &&
+           !(window[w].time <= row.time && window[w].cost <= row.cost &&
+             window[w].accuracy >= row.accuracy)) {
+      ++w;
+    }
+    if (w < filled) {
+      std::rotate(window.data(), window.data() + w, window.data() + w + 1);
+      continue;
+    }
+    survivors.push_back(i);
+    // The survivor enters at the front; a full window loses its last row.
+    if (filled < kWindowRows) ++filled;
+    std::rotate(window.data(), window.data() + filled - 1,
+                window.data() + filled);
+    window[0] = row;
+  }
+  return survivors;
+}
+
 }  // namespace
 
 bool ParetoStaircase2::Insert(double objective, double accuracy,
@@ -27,14 +70,10 @@ bool ParetoStaircase2::Insert(double objective, double accuracy,
                "NaN objective offered to ParetoStaircase2");
   if (Covers(objective, accuracy)) return false;
 
-  // Evict entries the new point covers: objective >= and accuracy <=. They
-  // form a contiguous run starting at the first entry with objective >=
-  // `objective` (entries before it are strictly cheaper; they survived
-  // Covers, so their accuracy is strictly below — wait, no: cheaper entries
-  // with accuracy <= ours are NOT covered by us since their objective is
-  // strictly smaller). Within the suffix objective >= ours, accuracy is
-  // ascending, so the covered entries (accuracy <= ours) are a prefix of
-  // that suffix.
+  // Evict the entries the new point covers (objective >= and accuracy <=).
+  // An entry with a smaller objective is never covered, so the run starts
+  // at the first entry with objective >= `objective`; accuracy ascends
+  // along the staircase, so the covered entries are a prefix of that suffix.
   const auto first = std::lower_bound(
       entries_.begin(), entries_.end(), objective,
       [](const Entry& e, double obj) { return e.objective < obj; });
@@ -103,16 +142,19 @@ std::vector<std::size_t> SweepParetoFrontier3(
   CheckNoNaN(time, "time");
   CheckNoNaN(cost, "cost");
   CheckNoNaN(accuracy, "accuracy");
-  const std::size_t n = time.size();
-  if (n == 0) return {};
+
+  // A window row comes earlier in the input than the row it covers, so the
+  // cover is a strict domination or an exact duplicate with a lower index:
+  // keep-first drops the row either way. Covering is transitive, so whatever
+  // the dropped row covers, its coverer covers too, and no other row's
+  // outcome changes.
+  std::vector<std::size_t> order = DropCoveredRows(time, cost, accuracy);
 
   // Sort by (time asc, cost asc, accuracy desc, index asc). In this order a
   // later point can never dominate an earlier one: domination requires
   // time <=, cost <= and accuracy >=, which against the sort order forces
   // equality in all three — an exact duplicate, which keeps the earlier
   // (lower-index) occurrence.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (time[a] != time[b]) return time[a] < time[b];
     if (cost[a] != cost[b]) return cost[a] < cost[b];

@@ -14,12 +14,15 @@
 //   SweepParetoFrontier — 2-D frontier of a point cloud via one sort +
 //                         linear scan. O(n log n).
 //   SweepParetoFrontier3— 3-D frontier (minimize time and cost, maximize
-//                         accuracy) via a sweep over the points sorted by
-//                         (time, cost, -accuracy, index): in that order no
-//                         later point can dominate an earlier one, so a
-//                         point survives iff the 2-D staircase over the
-//                         already-processed (cost, accuracy) pairs does not
-//                         cover it. O(n log n), memory O(frontier).
+//                         accuracy). A linear pre-pass walks the points in
+//                         input order and drops each one covered by a
+//                         32-row move-to-front window of earlier survivors.
+//                         The survivors are swept in (time, cost,
+//                         -accuracy, index) order: no later point can
+//                         dominate an earlier one, so a point survives iff
+//                         the 2-D staircase over the already-processed
+//                         (cost, accuracy) pairs does not cover it.
+//                         O(n log n), memory O(frontier).
 //
 // Semantics are pinned to the oracles (core_pareto_sweep_test proves
 // index-set equality on seeded clouds):
@@ -88,7 +91,15 @@ std::vector<std::size_t> SweepParetoFrontier(std::span<const double> objective,
 /// first occurrence — index-set-identical to ParetoFrontier3
 /// (core/pareto.h), the O(n²) oracle. Returned in input (ascending index)
 /// order. O(n log n) time, O(frontier) extra memory beyond the sort
-/// permutation; NaN CHECK-fails.
+/// permutation; NaN anywhere in the input CHECK-fails.
+///
+/// Before the sort, a pre-pass drops the points that a move-to-front window
+/// of up to 32 earlier surviving points covers (time <=, cost <=,
+/// accuracy >=); on EnumerateFrontier's candidate streams that is 97-99% of
+/// them. Such a point is either strictly dominated or an exact duplicate of
+/// a lower index, so the contract above holds unchanged. Inputs it cannot
+/// thin (anti-chains, shuffled frontiers) pay up to 32 window tests per
+/// point on top of the sort.
 std::vector<std::size_t> SweepParetoFrontier3(std::span<const double> time,
                                               std::span<const double> cost,
                                               std::span<const double> accuracy);

@@ -5,6 +5,7 @@
 // oracle, block-size invariance, and bitwise parallel-vs-serial equality.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -332,6 +333,36 @@ TEST(Evaluator, SpotWithoutMarketIsInfeasible) {
   EXPECT_TRUE(evaluator.Evaluate(space.Encode(p), 1000, m));
   p.purchase = 1;
   EXPECT_FALSE(evaluator.Evaluate(space.Encode(p), 1000, m));
+}
+
+TEST(Evaluator, RejectsIdsPastTheSpace) {
+  Fixture f;
+  ArchMetrics m;
+  EXPECT_THROW((void)f.evaluator.Evaluate(f.space.Size(), 1000, m),
+               CheckError);
+  EXPECT_THROW((void)f.evaluator.Evaluate(UINT64_MAX, 1000, m), CheckError);
+}
+
+TEST(Evaluator, KeepsItsOwnCopyOfTheSpace) {
+  // Editing the caller's space after construction — a third instance type,
+  // fewer counts — must not reach the evaluator: it keeps decoding every
+  // original id to the same configuration, priced bitwise as before.
+  Fixture f;
+  const std::uint64_t size = f.space.Size();
+  std::vector<ArchMetrics> before(size);
+  std::vector<char> feasible(size);
+  for (std::uint64_t id = 0; id < size; ++id) {
+    feasible[id] = f.evaluator.Evaluate(id, 250'000, before[id]) ? 1 : 0;
+  }
+  f.space.AddInstanceType("g3.16xlarge");
+  f.space.SetCounts({1});
+  ASSERT_NE(f.space.Size(), size);
+  EXPECT_EQ(f.evaluator.Space().Size(), size);
+  for (std::uint64_t id = 0; id < size; ++id) {
+    ArchMetrics m;
+    ASSERT_EQ(f.evaluator.Evaluate(id, 250'000, m), feasible[id] != 0) << id;
+    if (feasible[id]) EXPECT_TRUE(BitwiseEqual(m, before[id])) << id;
+  }
 }
 
 // --- streamed enumeration ----------------------------------------------------

@@ -1,13 +1,15 @@
 // Differential proof of the sorted-sweep Pareto filters (core/pareto_sweep.h)
 // against the straightforward oracles (core/pareto.h): ~200 seeded point
-// clouds across adversarial regimes, index-set equality everywhere, plus
-// unit coverage of the incremental staircase and the streaming-compaction
+// clouds across adversarial regimes and 12,000-point clouds that run the 3-D
+// pre-pass far past its window, index-set equality everywhere, plus unit
+// coverage of the incremental staircase and the streaming-compaction
 // identity the enumeration engine relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -39,8 +41,9 @@ enum class Regime : int {
   kAxisCollinear,
 };
 
-Cloud MakeCloud(Regime regime, Rng& rng) {
-  const std::size_t n = 30 + rng.NextIndex(170);
+/// `points` == 0 draws a size of 30-199 from `rng`.
+Cloud MakeCloud(Regime regime, Rng& rng, std::size_t points = 0) {
+  const std::size_t n = points > 0 ? points : 30 + rng.NextIndex(170);
   Cloud cloud;
   cloud.time.resize(n);
   cloud.cost.resize(n);
@@ -102,14 +105,45 @@ Cloud MakeCloud(Regime regime, Rng& rng) {
   return cloud;
 }
 
-class SweepVsOracle
-    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+struct SweepCase {
+  int regime = 0;
+  std::uint64_t seed = 0;
+  std::size_t points = 0;  // 0: MakeCloud draws 30-199 from the seed
+};
+
+// CTest names end with this text; a drawn-size case prints as the
+// (regime, seed) pair alone.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "(" << c.regime << ", " << c.seed;
+  if (c.points > 0) *os << ", " << c.points;
+  *os << ")";
+}
+
+/// Every regime x seeds 0-19 at drawn sizes, then the regimes that stress
+/// the 3-D pre-pass at 12,000 points: an anti-chain (no row covers another,
+/// so the 32-row window fills and every row reaches the sort) and a
+/// tie-heavy grid (almost every row dropped by the window).
+std::vector<SweepCase> SweepCases() {
+  std::vector<SweepCase> cases;
+  for (int regime = 0; regime < 5; ++regime) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      cases.push_back({regime, seed});
+    }
+  }
+  for (const Regime regime : {Regime::kAllFrontier, Regime::kDuplicateHeavy}) {
+    for (std::uint64_t seed = 0; seed < 2; ++seed) {
+      cases.push_back({static_cast<int>(regime), seed, 12000});
+    }
+  }
+  return cases;
+}
+
+class SweepVsOracle : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(SweepVsOracle, FrontierIndexSetsIdentical3D) {
-  const auto regime = static_cast<Regime>(std::get<0>(GetParam()));
-  Rng rng(0xABC0 + std::get<1>(GetParam()) * 7919 +
-          static_cast<std::uint64_t>(std::get<0>(GetParam())));
-  const Cloud cloud = MakeCloud(regime, rng);
+  const SweepCase& c = GetParam();
+  Rng rng(0xABC0 + c.seed * 7919 + static_cast<std::uint64_t>(c.regime));
+  const Cloud cloud = MakeCloud(static_cast<Regime>(c.regime), rng, c.points);
   const auto oracle =
       ParetoFrontier3(cloud.time, cloud.cost, cloud.accuracy);
   const auto sweep =
@@ -120,10 +154,9 @@ TEST_P(SweepVsOracle, FrontierIndexSetsIdentical3D) {
 }
 
 TEST_P(SweepVsOracle, FrontierIdentical2D) {
-  const auto regime = static_cast<Regime>(std::get<0>(GetParam()));
-  Rng rng(0xDEF0 + std::get<1>(GetParam()) * 104729 +
-          static_cast<std::uint64_t>(std::get<0>(GetParam())));
-  const Cloud cloud = MakeCloud(regime, rng);
+  const SweepCase& c = GetParam();
+  Rng rng(0xDEF0 + c.seed * 104729 + static_cast<std::uint64_t>(c.regime));
+  const Cloud cloud = MakeCloud(static_cast<Regime>(c.regime), rng, c.points);
   // 2-D over (cost, accuracy) and (time, accuracy): same order contract
   // (descending accuracy), so full vector equality, not just set equality.
   EXPECT_EQ(SweepParetoFrontier(cloud.cost, cloud.accuracy),
@@ -132,20 +165,38 @@ TEST_P(SweepVsOracle, FrontierIdentical2D) {
             ParetoFrontier(cloud.time, cloud.accuracy));
 }
 
-std::string RegimeParamName(
-    const ::testing::TestParamInfo<std::tuple<int, std::uint64_t>>& info) {
+std::string RegimeParamName(const ::testing::TestParamInfo<SweepCase>& info) {
   static const char* const kNames[] = {"Uniform", "AllDominated",
                                        "AllFrontier", "DuplicateHeavy",
                                        "AxisCollinear"};
-  return std::string(kNames[std::get<0>(info.param)]) + "Seed" +
-         std::to_string(std::get<1>(info.param));
+  const SweepCase& c = info.param;
+  std::string name = std::string(kNames[c.regime]) + "Seed" +
+                     std::to_string(c.seed);
+  if (c.points > 0) name += "Points" + std::to_string(c.points);
+  return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Regimes, SweepVsOracle,
-    ::testing::Combine(::testing::Range(0, 5),
-                       ::testing::Range<std::uint64_t>(0, 20)),
-    RegimeParamName);
+INSTANTIATE_TEST_SUITE_P(Regimes, SweepVsOracle,
+                         ::testing::ValuesIn(SweepCases()), RegimeParamName);
+
+TEST(SweepPrePass, DuplicatesOfEvictedRowsKeepFirst) {
+  // A 12,000-point anti-chain: no row covers another, so each survivor
+  // pushes an older one out of the 32-row window. Exact duplicates of the
+  // first 64 rows, appended at the end, find no covering row there and can
+  // only be dropped by the sort's keep-first tie-break.
+  Rng rng(0x5EED);
+  Cloud cloud = MakeCloud(Regime::kAllFrontier, rng, 12000);
+  for (std::size_t i = 0; i < 64; ++i) {
+    cloud.time.push_back(cloud.time[i]);
+    cloud.cost.push_back(cloud.cost[i]);
+    cloud.accuracy.push_back(cloud.accuracy[i]);
+  }
+  const auto sweep =
+      SweepParetoFrontier3(cloud.time, cloud.cost, cloud.accuracy);
+  EXPECT_EQ(sweep, ParetoFrontier3(cloud.time, cloud.cost, cloud.accuracy));
+  ASSERT_EQ(sweep.size(), 12000u);  // every original kept, every copy dropped
+  EXPECT_EQ(sweep.back(), 11999u);
+}
 
 // --- streaming compaction identity ------------------------------------------
 

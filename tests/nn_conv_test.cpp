@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "common/check.h"
@@ -55,6 +56,16 @@ struct ConvCase {
   std::int64_t batch, in_c, in_hw;
   ConvParams params;
 };
+
+// CTest names end with this text; without it gtest dumps the object's raw
+// bytes, the std::string's heap address among them.
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  const ConvParams& p = c.params;
+  *os << c.name << " (batch " << c.batch << ", in " << c.in_c << "x"
+      << c.in_hw << "x" << c.in_hw << ", out " << p.out_channels << ", k"
+      << p.kernel << " s" << p.stride << " p" << p.pad << " g" << p.groups
+      << ")";
+}
 
 class ConvMatchesNaive : public ::testing::TestWithParam<ConvCase> {};
 
