@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Golden gate for ccperf_calc: reruns the full frontier of the default space
-# and of its SDC variant (`--top 0 --terse`, 480 rows each) and byte-compares
-# them with tests/golden/ccperf_calc_{default,sdc}.txt. The sweep is seeded
-# and bitwise deterministic, so any difference means the enumerator, the
-# cost model or the Pareto filter changed what it computes. A change that
-# means to move the frontier rewrites both files with the same commands and
-# says why.
+# and of its SDC variant (`--top 0 --terse`, 480 rows each), and the top 50
+# rows by CAR of both spaces without the frontier filter (`--no-filter --top
+# 50 --terse`), and byte-compares each with tests/golden/ccperf_calc_*.txt.
+# The sweep is seeded and bitwise deterministic, so any difference means the
+# enumerator, the cost model, the Pareto filter or the top-N stream changed
+# what it computes. A change that means to move these rows rewrites the
+# files with the same commands and says why.
 #
 # Usage: scripts/check_ccperf_calc_golden.sh
 #   BUILD_DIR (default: build) is the build tree holding tools/ccperf_calc.
@@ -21,17 +22,20 @@ fi
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 status=0
-for space in default sdc; do
-  flags=(--top 0 --terse)
-  if [ "$space" = sdc ]; then flags+=(--sdc); fi
-  golden="tests/golden/ccperf_calc_$space.txt"
-  "$CALC" "${flags[@]}" > "$tmp"
+check() {  # check <golden name> <ccperf_calc flags>...
+  local golden="tests/golden/ccperf_calc_$1.txt"
+  shift
+  "$CALC" "$@" > "$tmp"
   if cmp -s "$golden" "$tmp"; then
-    echo "check_ccperf_calc_golden: $space frontier matches $golden"
+    echo "check_ccperf_calc_golden: $* matches $golden"
   else
-    echo "check_ccperf_calc_golden: $space frontier differs from $golden:"
+    echo "check_ccperf_calc_golden: $* differs from $golden:"
     diff "$golden" "$tmp" | head -20 || true
     status=1
   fi
-done
+}
+check default --top 0 --terse
+check sdc --top 0 --terse --sdc
+check no_filter --no-filter --top 50 --terse
+check no_filter_sdc --no-filter --top 50 --terse --sdc
 exit "$status"
