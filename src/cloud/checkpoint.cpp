@@ -85,17 +85,11 @@ std::vector<double> CheckpointInstants(const CheckpointPolicy& policy,
       }
       break;
     case CheckpointTrigger::kAdaptive: {
-      const double rate =
-          FaultRatePerInstanceHour(faults, duration_s, instances);
-      double interval = policy.interval_s;
-      if (rate > 0.0 && policy.snapshot_cost_s > 0.0) {
-        interval = YoungInterval(policy.snapshot_cost_s, 3600.0 / rate);
-      }
-      // Never snapshot more often than a snapshot takes, never less than
-      // once per run.
-      interval = std::clamp(interval, std::max(policy.snapshot_cost_s, 1e-3),
-                            duration_s);
-      periodic(interval);
+      const RatePerHour rate(
+          FaultRatePerInstanceHour(faults, duration_s, instances));
+      periodic(ExpectCheckpointedSpotRun(policy, Seconds(duration_s), rate,
+                                         instances, Seconds(0.0))
+                   .interval.value());
       break;
     }
   }
@@ -105,6 +99,40 @@ std::vector<double> CheckpointInstants(const CheckpointPolicy& policy,
   return instants;
 }
 
+CheckpointedSpotTerms ExpectCheckpointedSpotRun(const CheckpointPolicy& policy,
+                                                Seconds base,
+                                                RatePerHour preemption_rate,
+                                                int instances,
+                                                Seconds restart) {
+  // Raw doubles in a fixed expression order: the sweep's golden frontiers
+  // are computed from exactly these operations.
+  const double base_s = base.value();
+  const double rate = preemption_rate.value();
+  const double cost = policy.snapshot_cost_s;
+  double interval = policy.interval_s;
+  if (policy.trigger == CheckpointTrigger::kAdaptive && rate > 0.0 &&
+      cost > 0.0) {
+    interval = YoungInterval(cost, 3600.0 / rate);
+  }
+  // Never snapshot more often than a snapshot takes, never less than once
+  // per run; a run shorter than one snapshot takes one, at its end.
+  interval = std::min(std::max(interval, std::max(cost, 1e-3)),
+                      std::max(base_s, 1e-3));
+  const double overhead = std::floor(base_s / interval) * cost;
+  const double preemptions = rate * instances * ((base_s + overhead) / 3600.0);
+  const double window =
+      policy.trigger == CheckpointTrigger::kOnPreemptionWarning
+          ? 0.0
+          : interval / 2.0;
+  CheckpointedSpotTerms terms;
+  terms.interval = Seconds(interval);
+  terms.snapshot_overhead = Seconds(overhead);
+  terms.expected_preemptions = preemptions;
+  terms.lost = Seconds(preemptions * window);
+  terms.reprovision = Seconds(preemptions * restart.value());
+  return terms;
+}
+
 SpotRunEstimate EstimateSpotRun(const CloudSimulator& sim,
                                 const ResourceConfig& config,
                                 const VariantPerf& perf, std::int64_t images,
@@ -112,46 +140,22 @@ SpotRunEstimate EstimateSpotRun(const CloudSimulator& sim,
                                 RatePerHour preemption_rate,
                                 Seconds restart) {
   ValidateCheckpointPolicy(policy);
-  const double preemption_rate_per_hour = preemption_rate.value();
-  const double restart_s = restart.value();
-  CCPERF_CHECK(preemption_rate_per_hour >= 0.0,
+  CCPERF_CHECK(preemption_rate >= RatePerHour(0.0),
                "preemption rate must be >= 0");
-  CCPERF_CHECK(restart_s >= 0.0, "restart time must be >= 0");
+  CCPERF_CHECK(restart >= Seconds(0.0), "restart time must be >= 0");
 
   const RunEstimate base = sim.Run(config, perf, images);
-  const double base_seconds = base.seconds.value();
+  const CheckpointedSpotTerms spot = ExpectCheckpointedSpotRun(
+      policy, base.seconds, preemption_rate, config.TotalInstances(), restart);
   SpotRunEstimate est;
+  est.interval_s = spot.interval;
   est.base_seconds = base.seconds;
+  est.snapshot_overhead_s = spot.snapshot_overhead;
+  est.expected_recompute_s = spot.lost + spot.reprovision;
+  est.expected_preemptions = spot.expected_preemptions;
+  est.expected_seconds =
+      base.seconds + spot.snapshot_overhead + spot.lost + spot.reprovision;
   est.on_demand_cost_usd = base.cost_usd;
-
-  // Resolve the interval: adaptive uses Young's optimum for the spot MTBF.
-  // Computed on raw doubles in the exact expression order of the untyped
-  // code, then stored into the typed fields.
-  double interval_s = policy.interval_s;
-  if (policy.trigger == CheckpointTrigger::kAdaptive &&
-      preemption_rate_per_hour > 0.0 && policy.snapshot_cost_s > 0.0) {
-    interval_s =
-        YoungInterval(policy.snapshot_cost_s, 3600.0 / preemption_rate_per_hour);
-  }
-  interval_s = std::clamp(interval_s,
-                          std::max(policy.snapshot_cost_s, 1e-3),
-                          std::max(base_seconds, 1e-3));
-  est.interval_s = Seconds(interval_s);
-
-  // First-order expectation (Young/Daly): snapshots stretch the run by
-  // c per interval; each preemption loses half an interval of recompute
-  // plus the reprovisioning delay.
-  const double snapshot_overhead_s =
-      std::floor(base_seconds / interval_s) * policy.snapshot_cost_s;
-  est.snapshot_overhead_s = Seconds(snapshot_overhead_s);
-  const double productive_seconds = base_seconds + snapshot_overhead_s;
-  est.expected_preemptions =
-      preemption_rate_per_hour * (productive_seconds / 3600.0) *
-      static_cast<double>(config.TotalInstances());
-  const double expected_recompute_s =
-      est.expected_preemptions * (interval_s / 2.0 + restart_s);
-  est.expected_recompute_s = Seconds(expected_recompute_s);
-  est.expected_seconds = Seconds(productive_seconds + expected_recompute_s);
 
   UsdPerHour spot_price;
   for (const auto& [type, count] : config.instances) {

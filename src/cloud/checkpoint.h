@@ -8,7 +8,9 @@
 // 2022) motivates modeling the snapshot-vs-recompute overhead explicitly.
 // This module supplies the knob (CheckpointPolicy), the classic optimum
 // (Young's interval), and the Eq. 1-4 extension that charges snapshot time
-// and expected recompute against spot prices (EstimateSpotRun).
+// and expected recompute against spot prices: one pricing stage
+// (ExpectCheckpointedSpotRun) behind EstimateSpotRun, the adaptive trigger
+// of CheckpointInstants and core::ArchitectureEvaluator.
 #pragma once
 
 #include <cstdint>
@@ -189,15 +191,38 @@ class SnapshotVault {
       CCPERF_GUARDED_BY(mutex_);
 };
 
+/// First-order (Young/Daly) expectation of a checkpointed run of fault-free
+/// time T on an `instances`-wide fleet whose instances are each preempted
+/// at `preemption_rate`. The run is T + snapshot_overhead + lost +
+/// reprovision, summed in that order.
+struct CheckpointedSpotTerms {
+  Seconds interval;                   // the checkpoint interval in effect
+  Seconds snapshot_overhead;          // one snapshot per whole interval of T
+  double expected_preemptions = 0.0;  // fleet-wide, over T + overhead
+  Seconds lost;         // half an interval per preemption (none on warning)
+  Seconds reprovision;  // `restart` per preemption
+};
+
+/// The one checkpointed-spot pricing stage. The interval is the policy's,
+/// or on the adaptive trigger Young's interval for the per-instance MTBF
+/// (given a positive rate and snapshot cost); it is then held between one
+/// snapshot cost and T (each at least 1 ms), and T wins when the run is
+/// shorter than a snapshot. Pure arithmetic: the caller validates the
+/// policy, rate and restart.
+CheckpointedSpotTerms ExpectCheckpointedSpotRun(const CheckpointPolicy& policy,
+                                                Seconds base,
+                                                RatePerHour preemption_rate,
+                                                int instances,
+                                                Seconds restart);
+
 /// Eq. 1-4 extended to preemptible capacity: expected completion time and
 /// cost of an offline run of `images` on `config` priced at spot rates,
-/// including snapshot overhead and the expected recompute lost to
-/// preemptions (interval/2 per hit, plus `restart_s` to reprovision).
+/// through ExpectCheckpointedSpotRun.
 struct SpotRunEstimate {
   Seconds interval_s;                 // the checkpoint interval in effect
   Seconds base_seconds;               // fault-free T (Eq. 2)
   Seconds snapshot_overhead_s;
-  Seconds expected_recompute_s;       // preemptions * (interval/2 + restart)
+  Seconds expected_recompute_s;       // lost windows + reprovisioning
   double expected_preemptions = 0.0;  // across the whole fleet
   Seconds expected_seconds;           // T + overhead + recompute
   Usd on_demand_cost_usd;             // Eq. 1 at on-demand price, no faults

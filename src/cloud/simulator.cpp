@@ -113,36 +113,4 @@ RunEstimate CloudSimulator::Run(const ResourceConfig& config,
   return estimate;
 }
 
-SdcRunEstimate CloudSimulator::RunWithSdc(const ResourceConfig& config,
-                                          const VariantPerf& perf,
-                                          std::int64_t images,
-                                          const SdcPolicy& sdc,
-                                          WorkloadSplit split) const {
-  SdcRunEstimate out;
-  out.base = Run(config, perf, images, split);
-  if (sdc.kind == SdcPolicyKind::kOff) {
-    // SDC not modeled: the estimate is the Run() estimate, bitwise.
-    out.seconds = out.base.seconds;
-    out.cost_usd = out.base.cost_usd;
-    return out;
-  }
-  RatePerHour rate_sum;
-  int total = 0;
-  for (const auto& [type, count] : config.instances) {
-    rate_sum += catalog_.Find(type).sdc_rate_per_hour * count;
-    total += count;
-  }
-  const RatePerHour mean_rate = rate_sum / static_cast<double>(total);
-  out.assessment = AssessSdc(sdc, mean_rate, out.base.seconds);
-  out.seconds = out.base.seconds * (1.0 + out.assessment.time_overhead);
-  for (const auto& [type, count] : config.instances) {
-    out.cost_usd += ProratedCost(out.seconds,
-                                 catalog_.Find(type).price_per_hour) *
-                    count;
-  }
-  out.delivered_accuracy_factor =
-      1.0 - out.assessment.escape_fraction * (1.0 - kCorruptTop1Factor);
-  return out;
-}
-
 }  // namespace ccperf::cloud

@@ -13,7 +13,6 @@
 
 #include "cloud/instance_catalog.h"
 #include "cloud/resource_config.h"
-#include "cloud/sdc.h"
 #include "cloud/variant_perf.h"
 #include "common/units.h"
 
@@ -39,18 +38,6 @@ struct RunEstimate {
   std::vector<InstanceRun> instances;
 };
 
-/// Run() under a silent-corruption detection policy (cloud/sdc.h):
-/// detection machinery and redone (detected) work stretch T, which re-bills
-/// through Eq. 1; undetected corruption discounts delivered accuracy.
-struct SdcRunEstimate {
-  RunEstimate base;          // the detection-free Eq. 1-4 estimate
-  SdcAssessment assessment;  // at the fleet's mean SDC rate over base T
-  Seconds seconds;           // base T stretched by (1 + time_overhead)
-  Usd cost_usd;              // Eq. 1 re-prorated at the stretched T
-  /// Multiply a variant's top-1 by this for delivered accuracy.
-  double delivered_accuracy_factor = 1.0;
-};
-
 /// Analytical execution model over a catalog of instance types.
 class CloudSimulator {
  public:
@@ -74,16 +61,6 @@ class CloudSimulator {
   [[nodiscard]] RunEstimate Run(const ResourceConfig& config,
                                 const VariantPerf& perf, std::int64_t images,
                                 WorkloadSplit split = WorkloadSplit::kEqual) const;
-
-  /// Run() plus the SDC policy's cost/accuracy consequences. The fleet's
-  /// per-instance sdc_rate_per_hour values (catalog) are averaged with
-  /// instance-count weights — under the equal split each instance computes
-  /// an equal share of the work, so the mean onset rate gives the expected
-  /// corrupted-work fraction. kOff returns the Run() estimate untouched.
-  [[nodiscard]] SdcRunEstimate RunWithSdc(
-      const ResourceConfig& config, const VariantPerf& perf,
-      std::int64_t images, const SdcPolicy& sdc,
-      WorkloadSplit split = WorkloadSplit::kEqual) const;
 
   /// Images/second one instance sustains at saturation (used by the
   /// proportional split and by capacity planning examples).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -317,11 +318,11 @@ ArchitectureEvaluator::ArchitectureEvaluator(const cloud::CloudSimulator& sim,
     : sim_(sim),
       space_(space),
       sizes_(space_.Sizes()),
-      preemption_rate_per_hour_(preemption_rate.value()),
-      restart_s_(restart.value()) {
-  CCPERF_CHECK(preemption_rate_per_hour_ >= 0.0,
+      preemption_rate_(preemption_rate),
+      restart_(restart) {
+  CCPERF_CHECK(preemption_rate_ >= RatePerHour(0.0),
                "preemption rate must be >= 0");
-  CCPERF_CHECK(restart_s_ >= 0.0, "restart time must be >= 0");
+  CCPERF_CHECK(restart_ >= Seconds(0.0), "restart time must be >= 0");
   types_.reserve(space_.TypeNames().size());
   for (const auto& name : space_.TypeNames()) {
     types_.push_back(&sim_.Catalog().Find(name));
@@ -370,7 +371,7 @@ bool ArchitectureEvaluator::Evaluate(std::uint64_t id, std::int64_t images,
   }
 
   // Spot: preemptions arrive Poisson at `rate` per instance-hour.
-  const double fleet_rate = preemption_rate_per_hour_ * count;
+  const double fleet_rate = preemption_rate_.value() * count;
   double productive_s = base_seconds;  // base + snapshot overhead
   double replay_s = 0.0;               // lost work replayed after preemptions
   double reprovision_s = 0.0;          // restart delay, not replayable work
@@ -382,28 +383,11 @@ bool ArchitectureEvaluator::Evaluate(std::uint64_t id, std::int64_t images,
             .value();
     replay_s = expected - base_seconds;
   } else {
-    // Mirrors EstimateSpotRun (cloud/checkpoint.cpp): adaptive resolves to
-    // Young's interval for the per-instance MTBF; overhead is one snapshot
-    // cost per interval; each preemption loses half an interval (nothing,
-    // on the warning trigger) plus the reprovisioning delay.
-    double interval = ckpt.policy.interval_s;
-    if (ckpt.policy.trigger == cloud::CheckpointTrigger::kAdaptive &&
-        preemption_rate_per_hour_ > 0.0 && ckpt.policy.snapshot_cost_s > 0.0) {
-      interval = cloud::YoungInterval(ckpt.policy.snapshot_cost_s,
-                                      3600.0 / preemption_rate_per_hour_);
-    }
-    interval = std::clamp(interval, std::max(ckpt.policy.snapshot_cost_s, 1e-3),
-                          std::max(base_seconds, 1e-3));
-    productive_s += std::floor(base_seconds / interval) *
-                    ckpt.policy.snapshot_cost_s;
-    const double expected_preemptions =
-        fleet_rate * (productive_s / 3600.0);
-    const double window =
-        ckpt.policy.trigger == cloud::CheckpointTrigger::kOnPreemptionWarning
-            ? 0.0
-            : interval / 2.0;
-    replay_s = expected_preemptions * window;
-    reprovision_s = expected_preemptions * restart_s_;
+    const cloud::CheckpointedSpotTerms spot = cloud::ExpectCheckpointedSpotRun(
+        ckpt.policy, base_time, preemption_rate_, count, restart_);
+    productive_s += spot.snapshot_overhead.value();
+    replay_s = spot.lost.value();
+    reprovision_s = spot.reprovision.value();
   }
 
   // The degradation policy replays lost windows faster at lower accuracy;
@@ -491,50 +475,52 @@ void CompactCandidates(std::vector<std::uint64_t>& ids,
 
 }  // namespace
 
-EnumerationResult EnumerateFrontier(const ArchitectureEvaluator& evaluator,
-                                    const EnumerationOptions& options) {
+void SweepSpace(const ArchitectureEvaluator& evaluator,
+                const EnumerationOptions& options,
+                const std::function<void(const SweepBlock&)>& consume) {
   CCPERF_CHECK(options.block >= 1, "block must be >= 1");
   CCPERF_CHECK(options.images >= 1, "need at least one image");
-  const ArchitectureSpace& space = evaluator.Space();
-  const std::uint64_t total = space.Size();
-
-  EnumerationResult result;
-  std::vector<std::uint64_t> ids;   // frontier prefix + fresh feasible rows
-  std::vector<ArchMetrics> rows;    // parallel to `ids`
+  const std::uint64_t total = evaluator.Space().Size();
   std::vector<ArchMetrics> slot(options.block);
   std::vector<char> keep(options.block);
+  std::optional<ScopedSerial> serial;
+  if (options.serial) serial.emplace();
 
   for (std::uint64_t begin = 0; begin < total; begin += options.block) {
     const auto n = static_cast<std::size_t>(
         std::min<std::uint64_t>(options.block, total - begin));
-    const auto evaluate = [&](std::size_t i) {
+    ParallelFor(0, n, [&](std::size_t i) {
       ArchMetrics m;
       const bool ok =
           evaluator.Evaluate(begin + i, options.images, m) &&
           m.seconds <= options.deadline_s && m.cost_usd <= options.budget_usd;
       keep[i] = ok ? 1 : 0;
       if (ok) slot[i] = m;  // slot-per-task: no cross-task writes
-    };
-    if (options.serial) {
-      ScopedSerial serial;
-      ParallelFor(0, n, evaluate);
-    } else {
-      ParallelFor(0, n, evaluate);
-    }
-    result.evaluated += n;
+    });
+    consume(SweepBlock{begin, std::span<const char>(keep.data(), n),
+                       std::span<const ArchMetrics>(slot.data(), n)});
+  }
+}
 
+EnumerationResult EnumerateFrontier(const ArchitectureEvaluator& evaluator,
+                                    const EnumerationOptions& options) {
+  EnumerationResult result;
+  std::vector<std::uint64_t> ids;   // frontier prefix + fresh feasible rows
+  std::vector<ArchMetrics> rows;    // parallel to `ids`
+  SweepSpace(evaluator, options, [&](const SweepBlock& block) {
+    result.evaluated += block.keep.size();
     const std::size_t frontier_rows = ids.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!keep[i]) continue;
-      ids.push_back(begin + i);
-      rows.push_back(slot[i]);
+    for (std::size_t i = 0; i < block.keep.size(); ++i) {
+      if (!block.keep[i]) continue;
+      ids.push_back(block.first + i);
+      rows.push_back(block.rows[i]);
       ++result.feasible;
     }
     result.peak_candidates = std::max(result.peak_candidates, ids.size());
     if (ids.size() > frontier_rows) {
       CompactCandidates(ids, rows, options.use_top5, options.use_delivered);
     }
-  }
+  });
 
   result.frontier.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {

@@ -1,4 +1,4 @@
-// Architecture-space enumeration engine (ROADMAP item 2).
+// Architecture-space enumeration engine.
 //
 // The paper's Figs. 9/10 sweep (variant × configuration); real deployment
 // adds purchase option (on-demand vs spot), batch size, checkpoint policy,
@@ -12,25 +12,31 @@
 //   MetricRegistry        — registered-once named metrics over ArchMetrics
 //                           (time, cost, top-1/top-5, goodput, interruption
 //                           risk, TAR/CAR) driving CLI sort/filter/CSV.
-//   ArchitectureEvaluator — flat id -> ArchMetrics through the calibrated
-//                           analytic models (CloudSimulator Eqs. 1-4, spot
-//                           economics mirroring EstimateSpotRun, metrics.h
-//                           no-checkpoint restart expectation). Pure
+//   ArchitectureEvaluator — flat id -> ArchMetrics in stages: Eqs. 1-4 for
+//                           the fleet (CloudSimulator::InstanceSeconds),
+//                           the spot expectation (the one checkpointed-spot
+//                           stage, cloud::ExpectCheckpointedSpotRun, or the
+//                           metrics.h restart expectation without
+//                           checkpoints), degradation, then SDC. Pure
 //                           function of the id: bitwise-reproducible.
-//   EnumerateFrontier     — streamed block-wise evaluation (slot-per-task
-//                           ParallelFor, bitwise-equal to serial) feeding
-//                           the sorted-sweep Pareto filter
-//                           (core/pareto_sweep.h); memory stays
+//   SweepSpace            — the one block loop: evaluates blocks of ids
+//                           into preassigned slots (slot-per-task
+//                           ParallelFor, bitwise-equal to serial) and hands
+//                           each block to a callback in id order.
+//   EnumerateFrontier     — SweepSpace feeding the sorted-sweep Pareto
+//                           filter (core/pareto_sweep.h); memory stays
 //                           O(frontier + block), never O(space).
 //
 // The evaluator models homogeneous fleets (count × one instance type) — the
 // shape the axis product enumerates; heterogeneous multi-type
-// configurations keep going through ConfigSpaceExplorer, whose frontiers
-// now run on the same sweep filter.
+// configurations go through ConfigSpaceExplorer, whose frontiers run on the
+// same sweep filter.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -258,8 +264,8 @@ class ArchitectureSpace {
 /// (id, images) — safe to call concurrently and bitwise-reproducible.
 class ArchitectureEvaluator {
  public:
-  /// `preemption_rate` is per instance (as EstimateSpotRun);
-  /// `restart` is the reprovisioning delay charged per preemption.
+  /// `preemption_rate` is per instance; `restart` is the reprovisioning
+  /// delay charged per preemption.
   ArchitectureEvaluator(const cloud::CloudSimulator& sim,
                         const ArchitectureSpace& space,
                         RatePerHour preemption_rate = RatePerHour(0.05),
@@ -286,8 +292,8 @@ class ArchitectureEvaluator {
   ArchitectureSpace space_;  // a copy: sizes_ and types_ cannot go stale
   AxisSizes sizes_;          // validated once, at construction
   std::vector<const cloud::InstanceType*> types_;  // space type axis order
-  double preemption_rate_per_hour_;
-  double restart_s_;
+  RatePerHour preemption_rate_;
+  Seconds restart_;
 };
 
 /// Knobs of one enumeration run.
@@ -319,10 +325,26 @@ struct EnumerationResult {
   std::size_t peak_candidates = 0;
 };
 
-/// Stream the whole space through the evaluator in blocks, keeping only the
-/// running 3-D frontier (minimize time and cost, maximize accuracy).
-/// Parallel and serial runs are bitwise-identical: each id writes a
-/// preassigned slot and compaction order is the id order.
+/// One evaluated block of a sweep. `keep[i]` says whether id `first + i`
+/// exists on its market and meets the deadline and budget; `rows[i]` holds
+/// its metrics when it does and is stale otherwise. Valid only during the
+/// callback.
+struct SweepBlock {
+  std::uint64_t first = 0;
+  std::span<const char> keep;
+  std::span<const ArchMetrics> rows;
+};
+
+/// The one sweep loop: evaluates the whole space in blocks of
+/// `options.block` ids and hands each block to `consume` in id order. Every
+/// id writes a preassigned slot, so parallel and serial (`options.serial`)
+/// sweeps are bitwise-identical.
+void SweepSpace(const ArchitectureEvaluator& evaluator,
+                const EnumerationOptions& options,
+                const std::function<void(const SweepBlock&)>& consume);
+
+/// SweepSpace keeping only the running 3-D frontier (minimize time and
+/// cost, maximize accuracy); compaction order is the id order.
 EnumerationResult EnumerateFrontier(const ArchitectureEvaluator& evaluator,
                                     const EnumerationOptions& options);
 

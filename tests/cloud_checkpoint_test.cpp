@@ -382,6 +382,18 @@ TEST(CheckpointPolicyTest, AdaptiveUsesYoungAndFallsBackWhenFaultFree) {
       << "denser faults mean denser snapshots";
 }
 
+TEST(CheckpointPolicyTest, AdaptiveHorizonShorterThanASnapshotHasNoInstants) {
+  // A 0.5-s horizon is shorter than the 1-s snapshot: the interval resolves
+  // to the horizon itself, so no snapshot lands inside the run, whether the
+  // interval comes from the fallback or from Young's formula.
+  const CheckpointPolicy adaptive{.trigger = CheckpointTrigger::kAdaptive,
+                                  .snapshot_cost_s = 1.0};
+  EXPECT_TRUE(CheckpointInstants(adaptive, {}, 0.5, 1).empty());
+  FaultSchedule faults;
+  faults.events = {{FaultKind::kCrash, 0, 0.2, 0.1, 1.0}};
+  EXPECT_TRUE(CheckpointInstants(adaptive, faults, 0.5, 1).empty());
+}
+
 // -------------------------------------------------------- offline resume
 
 TEST_F(CheckpointTest, OfflineRunAdvancesAndResumes) {
@@ -439,6 +451,22 @@ TEST_F(CheckpointTest, SpotEstimateUndercutsOnDemandAtModestRisk) {
   EXPECT_DOUBLE_EQ(safe.expected_preemptions, 0.0);
   EXPECT_DOUBLE_EQ(safe.expected_seconds.value(),
                    (safe.base_seconds + safe.snapshot_overhead_s).value());
+}
+
+TEST_F(CheckpointTest, SpotRunShorterThanASnapshotTakesOne) {
+  // 100 images on one p2.xlarge take ~3.58 s, less than one 5-s snapshot:
+  // the interval resolves to the whole run, which pays for one snapshot.
+  for (const CheckpointTrigger trigger :
+       {CheckpointTrigger::kPeriodic, CheckpointTrigger::kAdaptive}) {
+    const CheckpointPolicy policy{
+        .trigger = trigger, .interval_s = 300.0, .snapshot_cost_s = 5.0};
+    const SpotRunEstimate est = EstimateSpotRun(sim_, Fleet(), perf_, 100,
+                                                policy, RatePerHour(0.05));
+    EXPECT_NEAR(est.base_seconds.value(), 3.58, 0.005);
+    EXPECT_EQ(est.interval_s, est.base_seconds);
+    EXPECT_EQ(est.snapshot_overhead_s, Seconds(5.0));
+    EXPECT_NEAR(est.expected_seconds.value(), 8.58748216176334, 1e-9);
+  }
 }
 
 TEST_F(CheckpointTest, SpotEstimateRequiresASpotMarket) {

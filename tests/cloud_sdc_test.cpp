@@ -1,8 +1,9 @@
 // The silent-data-corruption layer end to end: the closed-form policy model
 // (cloud/sdc.h), the kSilentCorruption fault kind and its timeline windows,
-// the SDC axis of the architecture-space enumerator, RunWithSdc on the
-// offline simulator, and the serving engine's detect-or-escape accounting
-// (including checkpoint/restore of the SDC counters).
+// the SDC axis of the architecture-space enumerator (the one offline SDC
+// pricing), the catalog's SDC rates, and the serving engine's
+// detect-or-escape accounting (including checkpoint/restore of the SDC
+// counters).
 //
 // The invariant threaded through everything: SdcPolicyKind::kOff means
 // "SDC not modeled", and every code path short-circuits so kOff results
@@ -361,58 +362,12 @@ TEST_F(SdcSpaceTest, EvaluatorPricesDetectionAndDiscountsEscapes) {
   EXPECT_GT(abft.delivered_top1, none.delivered_top1);
 }
 
-// ------------------------------------------------------------- simulator --
+// --------------------------------------------------------------- catalog --
 
 class SdcRunTest : public ::testing::Test {
  protected:
-  SdcRunTest()
-      : catalog_(InstanceCatalog::AwsEc2()),
-        sim_(catalog_),
-        profile_(CaffeNetProfile()),
-        perf_(ComputeVariantPerf(profile_, DensityFromPlan(profile_, {}),
-                                 "nonpruned")) {}
-
-  InstanceCatalog catalog_;
-  CloudSimulator sim_;
-  ModelProfile profile_;
-  VariantPerf perf_;
+  InstanceCatalog catalog_ = InstanceCatalog::AwsEc2();
 };
-
-TEST_F(SdcRunTest, RunWithSdcOffIsBitwiseTheBaseRun) {
-  ResourceConfig config;
-  config.Add("p2.8xlarge");
-  const std::int64_t images = 1'000'000;
-  const RunEstimate base = sim_.Run(config, perf_, images);
-  const SdcRunEstimate off = sim_.RunWithSdc(config, perf_, images, {});
-  EXPECT_EQ(off.seconds.value(), base.seconds.value());
-  EXPECT_EQ(off.cost_usd.value(), base.cost_usd.value());
-  EXPECT_EQ(off.delivered_accuracy_factor, 1.0);
-}
-
-TEST_F(SdcRunTest, RunWithSdcPricesPoliciesAgainstEachOther) {
-  ResourceConfig config;
-  config.Add("p2.8xlarge", 2);
-  const std::int64_t images = 20'000'000;
-  const SdcRunEstimate none =
-      sim_.RunWithSdc(config, perf_, images, {.kind = SdcPolicyKind::kNone});
-  const SdcRunEstimate abft =
-      sim_.RunWithSdc(config, perf_, images, {.kind = SdcPolicyKind::kAbft});
-  // kNone: no time/cost change, accuracy pays.
-  EXPECT_EQ(none.seconds.value(), none.base.seconds.value());
-  EXPECT_LT(none.delivered_accuracy_factor, 1.0);
-  // kAbft: time and cost pay, accuracy (almost) does not.
-  EXPECT_GT(abft.seconds.value(), abft.base.seconds.value());
-  EXPECT_GT(abft.cost_usd.value(), abft.base.cost_usd.value());
-  EXPECT_GT(abft.delivered_accuracy_factor, none.delivered_accuracy_factor);
-  // The assessment is the closed form at the fleet's catalog rate.
-  EXPECT_GT(none.assessment.escape_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(
-      none.assessment.escape_fraction,
-      AssessSdc({.kind = SdcPolicyKind::kNone},
-                catalog_.Find("p2.8xlarge").sdc_rate_per_hour,
-                none.base.seconds)
-          .escape_fraction);
-}
 
 TEST_F(SdcRunTest, CatalogCarriesSdcRates) {
   // p2 (K80) boards run hotter than g3 (M60), and rates scale with GPUs.

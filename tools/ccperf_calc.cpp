@@ -30,7 +30,6 @@
 #include "common/csv.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "common/threading.h"
 #include "common/timer.h"
 #include "core/accuracy_model.h"
 #include "core/enumerate.h"
@@ -309,52 +308,37 @@ core::ArchitectureSpace BuildSpace(const cloud::InstanceCatalog& catalog,
   return space;
 }
 
-/// --no-filter path: stream the space keeping the best `top` rows by the
-/// sort metric (all feasible rows when top == 0 — only sensible on small
-/// spaces). Uses the same slot-per-task block loop as EnumerateFrontier.
-std::vector<core::FrontierPoint> StreamTopN(
-    const core::ArchitectureEvaluator& evaluator,
-    const core::EnumerationOptions& enum_options, const core::Metric& metric,
-    std::size_t top, std::uint64_t& evaluated, std::uint64_t& feasible) {
-  const std::uint64_t total = evaluator.Space().Size();
-  std::vector<core::FrontierPoint> rows;
-  std::vector<core::ArchMetrics> slot(enum_options.block);
-  std::vector<char> keep(enum_options.block);
-  const auto better = [&](const core::FrontierPoint& a,
-                          const core::FrontierPoint& b) {
+/// Orders rows best-first by `metric`, ties by flat id.
+auto RankBy(const core::Metric& metric) {
+  return [&metric](const core::FrontierPoint& a, const core::FrontierPoint& b) {
     const double va = metric.extract(a.metrics);
     const double vb = metric.extract(b.metrics);
     if (va != vb) return metric.lower_is_better ? va < vb : va > vb;
     return a.id < b.id;
   };
-  for (std::uint64_t begin = 0; begin < total; begin += enum_options.block) {
-    const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(enum_options.block, total - begin));
-    const auto evaluate = [&](std::size_t i) {
-      core::ArchMetrics m;
-      const bool ok = evaluator.Evaluate(begin + i, enum_options.images, m) &&
-                      m.seconds <= enum_options.deadline_s &&
-                      m.cost_usd <= enum_options.budget_usd;
-      keep[i] = ok ? 1 : 0;
-      if (ok) slot[i] = m;
-    };
-    if (enum_options.serial) {
-      ScopedSerial serial;
-      ParallelFor(0, n, evaluate);
-    } else {
-      ParallelFor(0, n, evaluate);
-    }
-    evaluated += n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!keep[i]) continue;
-      rows.push_back(core::FrontierPoint{begin + i, slot[i]});
+}
+
+/// --no-filter path: stream the space keeping the best `top` rows by the
+/// sort metric (all feasible rows when top == 0 — only sensible on small
+/// spaces).
+std::vector<core::FrontierPoint> StreamTopN(
+    const core::ArchitectureEvaluator& evaluator,
+    const core::EnumerationOptions& enum_options, const core::Metric& metric,
+    std::size_t top, std::uint64_t& evaluated, std::uint64_t& feasible) {
+  std::vector<core::FrontierPoint> rows;
+  const auto better = RankBy(metric);
+  core::SweepSpace(evaluator, enum_options, [&](const core::SweepBlock& block) {
+    evaluated += block.keep.size();
+    for (std::size_t i = 0; i < block.keep.size(); ++i) {
+      if (!block.keep[i]) continue;
+      rows.push_back(core::FrontierPoint{block.first + i, block.rows[i]});
       ++feasible;
     }
     if (top > 0 && rows.size() > 2 * top + 1024) {
       std::sort(rows.begin(), rows.end(), better);
       rows.resize(top);
     }
-  }
+  });
   std::sort(rows.begin(), rows.end(), better);
   if (top > 0 && rows.size() > top) rows.resize(top);
   return rows;
@@ -416,15 +400,7 @@ int Run(const CliOptions& options) {
     feasible = result.feasible;
     peak_candidates = result.peak_candidates;
     rows = std::move(result.frontier);
-    std::sort(rows.begin(), rows.end(),
-              [&](const core::FrontierPoint& a, const core::FrontierPoint& b) {
-                const double va = sort_metric.extract(a.metrics);
-                const double vb = sort_metric.extract(b.metrics);
-                if (va != vb) {
-                  return sort_metric.lower_is_better ? va < vb : va > vb;
-                }
-                return a.id < b.id;
-              });
+    std::sort(rows.begin(), rows.end(), RankBy(sort_metric));
     if (options.top > 0 && rows.size() > options.top) rows.resize(options.top);
   } else {
     rows = StreamTopN(evaluator, enum_options, sort_metric, options.top,
