@@ -2,8 +2,9 @@
 # Configure and run the test suite under sanitizers, each in its own build
 # tree. Stage 1 (build-sanitize/): AddressSanitizer + UBSan over the full
 # suite — the memory-safety gate. Stage 2 (build-tsan/): ThreadSanitizer
-# over the kernels and integration labels (the code that actually touches
-# the thread pool), skipped with a notice if the toolchain lacks TSan.
+# over the kernels and integration labels and the ChaosSweep::Rank tests
+# (the code that actually touches the thread pool), skipped with a notice
+# if the toolchain lacks TSan.
 # Any report aborts the run.
 #
 # The static pass (scripts/run_static_analysis.sh + check_kernel_odr.sh +
@@ -69,6 +70,12 @@ export TSAN_OPTIONS="halt_on_error=1"
 # is prohibitively slow and the remainder is single-threaded by design.
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
   -L 'kernels|integration'
+
+# ChaosSweep::Rank is the one cloud sweep that fans out over the pool, and
+# the cloud suites carry the cloud/robustness labels, so select its tests by
+# name; --no-tests=error fails the stage if a rename ever drops them.
+ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
+  --no-tests=error -R '^ChaosTest\.Rank'
 
 echo "TSAN GREEN"
 echo "SANITIZERS GREEN"

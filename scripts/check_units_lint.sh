@@ -12,10 +12,12 @@
 # grandfathered in scripts/units_lint_allowlist.txt (format:
 # <path>:<identifier>, '#' comments). Every entry is a standing exception:
 # do not add to it for new API surface — take a typed Quantity instead.
+# An entry that matches no declaration is stale and fails the lint too, so
+# the allowlist shrinks with the code it excuses.
 #
-# Self-test: --selftest seeds a violation into a temp copy of a covered
-# header and asserts the lint catches it, so a regressed regex fails CI
-# instead of silently passing everything.
+# Self-test: --selftest seeds a violation into a temp header and a stale
+# entry into a temp allowlist and asserts the lint catches both, so a
+# regressed regex or stale check fails CI instead of silently passing.
 #
 # Usage: scripts/check_units_lint.sh [--selftest]
 set -euo pipefail
@@ -28,13 +30,26 @@ scan() {  # scan <dir>...  -> hits on stdout (path:line:content)
   grep -rnE "$REGEX" "$@" --include='*.h' || true
 }
 
+entries() {  # entries <allowlist> -> one <path>:<identifier> per line
+  [ -f "$1" ] || return 0
+  grep -v -E '^[[:space:]]*(#|$)' "$1" || true
+}
+
 allowed() {  # allowed <file> <identifier>
-  [ -f "$ALLOWLIST" ] || return 1
-  grep -v -E '^[[:space:]]*(#|$)' "$ALLOWLIST" | grep -q -F -x "$1:$2"
+  entries "$ALLOWLIST" | grep -q -F -x "$1:$2"
 }
 
 identifier_of() {  # extract the offending identifier from a hit line
   sed -E "s/.*double[[:space:]]+([A-Za-z_][A-Za-z0-9_]*_(hours|seconds|usd|per_hour)).*/\1/" <<< "$1"
+}
+
+stale() {  # stale <allowlist> <hits> -> entries that match no hit
+  local declared
+  declared="$(while IFS= read -r hit; do
+    if [ -n "$hit" ]; then echo "${hit%%:*}:$(identifier_of "$hit")"; fi
+  done <<< "$2")"
+  LC_ALL=C comm -23 <(entries "$1" | LC_ALL=C sort -u) \
+                    <(LC_ALL=C sort -u <<< "$declared")
 }
 
 if [ "${1:-}" = "--selftest" ]; then
@@ -47,11 +62,23 @@ struct Seeded {
   double deadline_hours = 0.0;  // seeded violation: must be Hours
 };
 EOF
-  if [ -z "$(scan "$tmpdir")" ]; then
+  seeded_hits="$(scan "$tmpdir")"
+  if [ -z "$seeded_hits" ]; then
     echo "check_units_lint: SELFTEST FAIL — seeded violation not detected"
     exit 1
   fi
-  echo "check_units_lint: selftest OK — seeded raw-double unit field caught"
+  # The first entry excuses the seeded field; the second matches nothing.
+  printf '%s\n' "$tmpdir/cloud/seeded.h:deadline_hours" \
+                "$tmpdir/cloud/seeded.h:retired_seconds" \
+    > "$tmpdir/allowlist.txt"
+  if [ "$(stale "$tmpdir/allowlist.txt" "$seeded_hits")" != \
+       "$tmpdir/cloud/seeded.h:retired_seconds" ]; then
+    echo "check_units_lint: SELFTEST FAIL — seeded stale allowlist entry" \
+         "not reported alone"
+    exit 1
+  fi
+  echo "check_units_lint: selftest OK — seeded raw-double unit field and" \
+       "stale allowlist entry caught"
   exit 0
 fi
 
@@ -73,6 +100,14 @@ if [ -n "$hits" ]; then
     status=1
     echo "  [$ident] $hit"
   done <<< "$hits"
+fi
+
+stale_entries="$(stale "$ALLOWLIST" "$hits")"
+if [ -n "$stale_entries" ]; then
+  echo "check_units_lint: FAIL — $ALLOWLIST entries that match no"
+  echo "  declaration; delete them:"
+  sed 's/^/  /' <<< "$stale_entries"
+  status=1
 fi
 
 if [ "$status" -eq 0 ]; then

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/threading.h"
 
 namespace ccperf::cloud {
 
@@ -72,51 +71,26 @@ AutoscaleResult Autoscaler::RunFaulted(
     const std::vector<std::vector<double>>& arrivals, double epoch_s,
     const VariantPerf& perf, const AutoscalePolicy& policy,
     const ServingPolicy& serving_policy, const RetryPolicy& retry,
-    const FaultSchedule& faults, const CheckpointPolicy* checkpoint,
-    CheckpointStats* checkpoint_stats,
-    const RedundancyPolicy& redundancy) const {
+    const FaultSchedule& faults) const {
   CCPERF_CHECK(!arrivals.empty(), "need at least one epoch");
   CCPERF_CHECK(epoch_s > 0.0, "epoch length must be positive");
   ValidateAutoscalePolicy(policy);
   ValidateServingPolicy(serving_policy);
   ValidateRetryPolicy(retry);
-  ValidateRedundancyPolicy(redundancy);
   faults.Validate();
-  if (checkpoint != nullptr) ValidateCheckpointPolicy(*checkpoint);
 
   AutoscaleResult result;
   int instances = policy.min_instances;
   std::int64_t total_requests = 0;
   std::int64_t total_in_deadline = 0;
-  CheckpointStats aggregate;
   for (std::size_t epoch = 0; epoch < arrivals.size(); ++epoch) {
     ResourceConfig fleet;
     fleet.Add(instance_type_, instances);
     const FaultSchedule local = faults.Slice(
         static_cast<double>(epoch) * epoch_s,
         static_cast<double>(epoch + 1) * epoch_s);
-    ServingReport report;
-    if (checkpoint != nullptr) {
-      CheckpointStats epoch_stats;
-      report = serving_.SimulateFaultedCheckpointed(
-          fleet, perf, arrivals[epoch], epoch_s, serving_policy, retry, local,
-          *checkpoint, &epoch_stats, InflightPolicy::kRequeue,
-          /*variant_accuracy=*/1.0, redundancy);
-      aggregate.snapshots += epoch_stats.snapshots;
-      aggregate.snapshot_overhead_s += epoch_stats.snapshot_overhead_s;
-      aggregate.overhead_cost_usd += epoch_stats.overhead_cost_usd;
-      if (epoch_stats.snapshots > 0) {
-        // Report the last snapshot on the run's global clock.
-        aggregate.last_snapshot_s = static_cast<double>(epoch) * epoch_s +
-                                    epoch_stats.last_snapshot_s;
-        aggregate.latest = std::move(epoch_stats.latest);
-      }
-      result.total_cost_usd += Usd(epoch_stats.overhead_cost_usd);
-    } else {
-      report = serving_.SimulateFaulted(
-          fleet, perf, arrivals[epoch], epoch_s, serving_policy, retry, local,
-          InflightPolicy::kRequeue, /*variant_accuracy=*/1.0, redundancy);
-    }
+    const ServingReport report = serving_.SimulateFaulted(
+        fleet, perf, arrivals[epoch], epoch_s, serving_policy, retry, local);
 
     result.total_cost_usd += Usd(report.cost_per_hour_usd * epoch_s / 3600.0);
     result.worst_p99_s = std::max(result.worst_p99_s, report.p99_latency_s);
@@ -148,96 +122,7 @@ AutoscaleResult Autoscaler::RunFaulted(
     result.slo_compliance = static_cast<double>(total_in_deadline) /
                             static_cast<double>(total_requests);
   }
-  if (checkpoint_stats != nullptr) *checkpoint_stats = std::move(aggregate);
   return result;
-}
-
-AutoscaleResult Autoscaler::RunFaultedPlaced(
-    const std::vector<std::vector<double>>& arrivals, double epoch_s,
-    const VariantPerf& perf, const AutoscalePolicy& policy,
-    const ServingPolicy& serving_policy, const RetryPolicy& retry,
-    const FaultDomainTopology& topology, const CorrelatedSchedule& correlated,
-    const FaultSchedule& independent, PlacementSpread spread,
-    double cross_pool_premium_frac, const RedundancyPolicy& redundancy,
-    const CheckpointPolicy* checkpoint,
-    CheckpointStats* checkpoint_stats) const {
-  ValidateAutoscalePolicy(policy);
-  CCPERF_CHECK(cross_pool_premium_frac >= 0.0,
-               "cross_pool_premium_frac must be >= 0, got ",
-               cross_pool_premium_frac);
-  // Place the fleet at its maximal size so instance indices are stable no
-  // matter how the reactive controller resizes within [min, max]: instance
-  // i always lives in the same pool, so lowering the correlated schedule
-  // once up front stays valid for every epoch.
-  FaultDomainTopology placed = topology;
-  placed.PlaceInstances(policy.max_instances, spread);
-  const FaultSchedule lowered = LowerCorrelatedSchedule(correlated, placed);
-  const FaultSchedule merged = MergeFaultSchedules(independent, lowered);
-  AutoscaleResult result =
-      RunFaulted(arrivals, epoch_s, perf, policy, serving_policy, retry,
-                 merged, checkpoint, checkpoint_stats, redundancy);
-  if (cross_pool_premium_frac > 0.0) {
-    const double price =
-        serving_.Simulator().Catalog().Find(instance_type_)
-            .price_per_hour.value();
-    const int primary = placed.instance_domain[0];
-    for (const AutoscaleStep& step : result.steps) {
-      const int active = std::min(
-          step.instances, static_cast<int>(placed.instance_domain.size()));
-      int outside = 0;
-      for (int i = 0; i < active; ++i) {
-        if (placed.instance_domain[static_cast<std::size_t>(i)] != primary) {
-          ++outside;
-        }
-      }
-      result.total_cost_usd += Usd(static_cast<double>(outside) * price *
-                                   cross_pool_premium_frac * epoch_s / 3600.0);
-    }
-  }
-  return result;
-}
-
-PolicyRanking Autoscaler::RankFaultedPolicies(
-    const std::vector<std::vector<double>>& arrivals, double epoch_s,
-    const VariantPerf& perf, const std::vector<AutoscalePolicy>& policies,
-    const ServingPolicy& serving_policy, const RetryPolicy& retry,
-    const FaultSchedule& faults, double min_slo_compliance) const {
-  CCPERF_CHECK(!policies.empty(), "need at least one candidate policy");
-  CCPERF_CHECK(min_slo_compliance >= 0.0 && min_slo_compliance <= 1.0,
-               "min_slo_compliance must be in [0, 1], got ",
-               min_slo_compliance);
-  PolicyRanking ranking;
-  ranking.results.resize(policies.size());
-  FirstErrorCollector errors;
-  // One RunFaulted per task; slot i is owned by task i, so only the error
-  // funnel needs a lock and the per-policy results stay schedule-independent.
-  ParallelFor(
-      0, policies.size(),
-      [&](std::size_t i) {
-        try {
-          ranking.results[i] =
-              RunFaulted(arrivals, epoch_s, perf, policies[i], serving_policy,
-                         retry, faults);
-        } catch (const CheckError& error) {
-          errors.Record(i, detail::ConcatMessage("policy ", i, ": ",
-                                                 error.what()));
-        }
-      },
-      /*grain=*/1);
-  errors.RethrowIfError();
-  // Serial argmin with an index tie-break: the winner is a pure function of
-  // the results, never of completion order.
-  for (std::size_t i = 0; i < ranking.results.size(); ++i) {
-    const AutoscaleResult& candidate = ranking.results[i];
-    if (candidate.slo_compliance < min_slo_compliance) continue;
-    if (ranking.best < 0 ||
-        candidate.total_cost_usd <
-            ranking.results[static_cast<std::size_t>(ranking.best)]
-                .total_cost_usd) {
-      ranking.best = static_cast<int>(i);
-    }
-  }
-  return ranking;
 }
 
 }  // namespace ccperf::cloud

@@ -9,9 +9,9 @@
 // elasticity (instant variant switch) does not pay.
 #pragma once
 
+#include <string>
 #include <vector>
 
-#include "cloud/fault_domains.h"
 #include "cloud/serving.h"
 #include "common/units.h"
 
@@ -50,15 +50,6 @@ struct AutoscaleResult {
   double slo_compliance = 1.0;
 };
 
-/// Outcome of RankFaultedPolicies: every candidate's full run, plus the
-/// winner (lowest total cost among candidates meeting the SLO floor;
-/// ties break to the lowest index). best == -1 when no candidate
-/// qualifies.
-struct PolicyRanking {
-  std::vector<AutoscaleResult> results;
-  int best = -1;
-};
-
 /// Epoch-driven reactive autoscaler over a homogeneous fleet of one
 /// instance type.
 class Autoscaler {
@@ -81,51 +72,11 @@ class Autoscaler {
   /// `policy.miss_rate_step_up` forces at least one extra instance, and an
   /// unstable epoch still jumps to max. Still one epoch of reactive lag —
   /// the lag accuracy elasticity does not pay.
-  ///
-  /// With `checkpoint` set, every epoch runs checkpointed: dynamics and
-  /// reports are unchanged, but snapshot overhead is billed into
-  /// total_cost_usd and the aggregated accounting (plus the last epoch's
-  /// restorable snapshot) lands in `checkpoint_stats` when provided.
-  /// `redundancy` (replication/hedging) applies to every epoch.
   [[nodiscard]] AutoscaleResult RunFaulted(
       const std::vector<std::vector<double>>& arrivals, double epoch_s,
       const VariantPerf& perf, const AutoscalePolicy& policy,
       const ServingPolicy& serving_policy, const RetryPolicy& retry,
-      const FaultSchedule& faults,
-      const CheckpointPolicy* checkpoint = nullptr,
-      CheckpointStats* checkpoint_stats = nullptr,
-      const RedundancyPolicy& redundancy = {}) const;
-
-  /// Domain-aware variant of RunFaulted: places `policy.max_instances`
-  /// slots into `topology` pools per `spread`, lowers `correlated` to
-  /// per-instance faults against that placement, merges them with the
-  /// `independent` per-instance schedule, and runs the merged schedule.
-  /// Instances placed outside the primary pool (the placement's first
-  /// pool) bill an extra `cross_pool_premium_frac` of the instance price
-  /// while in the active fleet — the cost of spreading (cross-zone data
-  /// transfer, capacity reservations) that a packed placement never pays.
-  [[nodiscard]] AutoscaleResult RunFaultedPlaced(
-      const std::vector<std::vector<double>>& arrivals, double epoch_s,
-      const VariantPerf& perf, const AutoscalePolicy& policy,
-      const ServingPolicy& serving_policy, const RetryPolicy& retry,
-      const FaultDomainTopology& topology,
-      const CorrelatedSchedule& correlated, const FaultSchedule& independent,
-      PlacementSpread spread, double cross_pool_premium_frac = 0.0,
-      const RedundancyPolicy& redundancy = {},
-      const CheckpointPolicy* checkpoint = nullptr,
-      CheckpointStats* checkpoint_stats = nullptr) const;
-
-  /// Evaluate every candidate policy with RunFaulted, fanned across the
-  /// global thread pool (each run stays serial inside its task, so
-  /// results[i] is bitwise identical to a standalone RunFaulted with
-  /// policies[i]). The winner minimizes total_cost_usd among candidates
-  /// with slo_compliance >= min_slo_compliance. Validation errors rethrow
-  /// deterministically (lowest failing index) after the sweep.
-  [[nodiscard]] PolicyRanking RankFaultedPolicies(
-      const std::vector<std::vector<double>>& arrivals, double epoch_s,
-      const VariantPerf& perf, const std::vector<AutoscalePolicy>& policies,
-      const ServingPolicy& serving_policy, const RetryPolicy& retry,
-      const FaultSchedule& faults, double min_slo_compliance = 0.0) const;
+      const FaultSchedule& faults) const;
 
  private:
   const ServingSimulator& serving_;

@@ -11,8 +11,6 @@ namespace ccperf::cloud {
 
 namespace {
 
-constexpr std::uint32_t kOfflineSnapshotTag = 0x4F46464Cu;  // 'OFFL'
-
 /// Per-instance-hour fault density of a schedule (all kinds), the MTBF
 /// input of the adaptive trigger. Zero for an empty schedule.
 double FaultRatePerInstanceHour(const FaultSchedule& faults,
@@ -168,207 +166,54 @@ SpotRunEstimate EstimateSpotRun(const CloudSimulator& sim,
   return est;
 }
 
-// --- resumable offline run ---------------------------------------------------
-
-ResumableOfflineRun::ResumableOfflineRun(const CloudSimulator& sim,
-                                         const ResourceConfig& config,
-                                         const VariantPerf& perf,
-                                         std::int64_t images,
-                                         std::int64_t batch)
-    : total_images_(images), batch_(batch) {
-  CCPERF_CHECK(images >= 1, "need at least one image");
-  CCPERF_CHECK(batch >= 0, "batch must be >= 0");
-  const RunEstimate estimate = sim.Run(config, perf, images);
-  for (const InstanceRun& run : estimate.instances) {
-    const InstanceType& type = sim.Catalog().Find(run.type);
-    const GpuSpec& gpu = sim.Catalog().Gpu(type.gpu);
-    Slot slot;
-    slot.type = run.type;
-    slot.target = run.images;
-    if (run.images > 0) {
-      const std::int64_t per_gpu =
-          (run.images + type.gpus - 1) / static_cast<std::int64_t>(type.gpus);
-      const std::int64_t b = batch > 0 ? std::min(batch, gpu.max_batch)
-                                       : std::min(per_gpu, gpu.max_batch);
-      slot.images_per_step = b * type.gpus;
-      slot.step_seconds = sim.BatchSeconds(type, perf, b).value();
-    }
-    slots_.push_back(std::move(slot));
-  }
-}
-
-void ResumableOfflineRun::AdvanceTo(double t_s) {
-  CCPERF_CHECK(t_s >= elapsed_s_, "offline run time must advance: ", t_s,
-               " < ", elapsed_s_);
-  for (Slot& slot : slots_) {
-    if (slot.target == 0 || slot.step_seconds <= 0.0) continue;
-    const auto steps =
-        static_cast<std::int64_t>(std::floor(t_s / slot.step_seconds));
-    slot.done = std::min(slot.target, steps * slot.images_per_step);
-  }
-  elapsed_s_ = t_s;
-}
-
-bool ResumableOfflineRun::Done() const { return ImagesDone() == total_images_; }
-
-std::int64_t ResumableOfflineRun::ImagesDone() const {
-  std::int64_t done = 0;
-  for (const Slot& slot : slots_) done += slot.done;
-  return done;
-}
-
-double ResumableOfflineRun::TotalSeconds() const {
-  double seconds = 0.0;
-  for (const Slot& slot : slots_) {
-    if (slot.target == 0) continue;
-    // Last batch round may be partial; ceil to whole rounds bounds it.
-    const std::int64_t rounds =
-        (slot.target + slot.images_per_step - 1) / slot.images_per_step;
-    seconds =
-        std::max(seconds, static_cast<double>(rounds) * slot.step_seconds);
-  }
-  return seconds;
-}
-
-std::uint32_t ResumableOfflineRun::Fingerprint() const {
-  SnapshotSectionWriter w;
-  w.PutI64(total_images_);
-  w.PutI64(batch_);
-  for (const Slot& slot : slots_) {
-    w.PutString(slot.type);
-    w.PutI64(slot.target);
-    w.PutI64(slot.images_per_step);
-    w.PutF64(slot.step_seconds);
-  }
-  return Crc32(w.Bytes());
-}
-
-std::string ResumableOfflineRun::Checkpoint() const {
-  SnapshotWriter writer(kOfflineSnapshotTag);
-  SnapshotSectionWriter& meta = writer.AddSection("meta");
-  meta.PutU32(Fingerprint());
-  meta.PutF64(elapsed_s_);
-  SnapshotSectionWriter& progress = writer.AddSection("progress");
-  std::vector<std::int64_t> done;
-  done.reserve(slots_.size());
-  for (const Slot& slot : slots_) done.push_back(slot.done);
-  progress.PutI64Vector(done);
-  return writer.Serialize();
-}
-
-void ResumableOfflineRun::Restore(const std::string& snapshot) {
-  const SnapshotReader reader =
-      SnapshotReader::Parse(snapshot, kOfflineSnapshotTag);
-  SnapshotSectionReader meta = reader.Section("meta");
-  const std::uint32_t fingerprint = meta.TakeU32();
-  CCPERF_CHECK(fingerprint == Fingerprint(),
-               "offline-run snapshot does not match this run's "
-               "(config, variant, workload)");
-  const double elapsed = meta.TakeF64();
-  meta.ExpectEnd();
-  SnapshotSectionReader progress = reader.Section("progress");
-  const std::vector<std::int64_t> done = progress.TakeI64Vector();
-  progress.ExpectEnd();
-  CCPERF_CHECK(done.size() == slots_.size(),
-               "corrupt offline-run snapshot: ", done.size(),
-               " progress slots for ", slots_.size(), " instances");
-  CCPERF_CHECK(elapsed >= 0.0 && std::isfinite(elapsed),
-               "corrupt offline-run snapshot: bad elapsed time");
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    CCPERF_CHECK(done[i] >= 0 && done[i] <= slots_[i].target,
-                 "corrupt offline-run snapshot: progress ", done[i],
-                 " outside [0, ", slots_[i].target, "]");
-    slots_[i].done = done[i];
-  }
-  elapsed_s_ = elapsed;
-}
-
-void SnapshotVault::Put(const std::string& name, double watermark,
-                        std::string snapshot) {
-  // Domain -1 = "nowhere in particular": never named by a partition, so
-  // untagged snapshots keep the pre-fault-domain semantics.
-  PutMirrored(name, watermark, snapshot, {-1});
-}
-
 void SnapshotVault::PutMirrored(const std::string& name, double watermark,
                                 const std::string& snapshot,
                                 const std::vector<int>& domains) {
   CCPERF_CHECK(watermark >= 0.0, "snapshot watermark must be >= 0, got ",
                watermark);
   CCPERF_CHECK(!domains.empty(), "snapshot must land in at least one domain");
-  {
-    MutexLock lock(mutex_);
-    std::map<int, Entry>& copies = entries_[name];
-    for (const int domain : domains) {
-      Entry& entry = copies[domain];
-      if (entry.watermark > watermark && !entry.bytes.empty()) continue;
-      entry.watermark = watermark;
-      entry.bytes = snapshot;
-    }
+  MutexLock lock(mutex_);
+  std::map<int, Entry>& copies = entries_[name];
+  for (const int domain : domains) {
+    Entry& entry = copies[domain];
+    if (entry.watermark > watermark && !entry.bytes.empty()) continue;
+    entry.watermark = watermark;
+    entry.bytes = snapshot;
   }
-  // Notify outside the lock so woken waiters can re-acquire immediately.
-  published_.NotifyAll();
 }
 
-const SnapshotVault::Entry* SnapshotVault::BestReachableLocked(
+const SnapshotVault::Entry& SnapshotVault::BestReachableLocked(
     const std::string& name, const std::vector<int>& unreachable) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) return nullptr;
   const Entry* best = nullptr;
-  for (const auto& [domain, entry] : it->second) {
-    if (std::find(unreachable.begin(), unreachable.end(), domain) !=
-        unreachable.end()) {
-      continue;
-    }
-    // Strict > : on watermark ties the lowest domain index (first in map
-    // order) wins, independent of publish order.
-    if (best == nullptr || entry.watermark > best->watermark) {
-      best = &entry;
+  const auto it = entries_.find(name);
+  if (it != entries_.end()) {
+    for (const auto& [domain, entry] : it->second) {
+      if (std::find(unreachable.begin(), unreachable.end(), domain) !=
+          unreachable.end()) {
+        continue;
+      }
+      // Strict > : on watermark ties the lowest domain index (first in map
+      // order) wins, independent of publish order.
+      if (best == nullptr || entry.watermark > best->watermark) {
+        best = &entry;
+      }
     }
   }
-  return best;
-}
-
-bool SnapshotVault::Contains(const std::string& name) const {
-  MutexLock lock(mutex_);
-  return entries_.find(name) != entries_.end();
-}
-
-std::string SnapshotVault::Get(const std::string& name) const {
-  return GetReachable(name, {});
-}
-
-double SnapshotVault::Watermark(const std::string& name) const {
-  return ReachableWatermark(name, {});
-}
-
-bool SnapshotVault::HasReachable(const std::string& name,
-                                 const std::vector<int>& unreachable) const {
-  MutexLock lock(mutex_);
-  return BestReachableLocked(name, unreachable) != nullptr;
+  CCPERF_CHECK(best != nullptr, "no reachable snapshot for '", name,
+               "' (published copies may all sit in partitioned domains)");
+  return *best;
 }
 
 std::string SnapshotVault::GetReachable(
     const std::string& name, const std::vector<int>& unreachable) const {
   MutexLock lock(mutex_);
-  const Entry* best = BestReachableLocked(name, unreachable);
-  CCPERF_CHECK(best != nullptr, "no reachable snapshot for '", name,
-               "' (published copies may all sit in partitioned domains)");
-  return best->bytes;
+  return BestReachableLocked(name, unreachable).bytes;
 }
 
 double SnapshotVault::ReachableWatermark(
     const std::string& name, const std::vector<int>& unreachable) const {
   MutexLock lock(mutex_);
-  const Entry* best = BestReachableLocked(name, unreachable);
-  CCPERF_CHECK(best != nullptr, "no reachable snapshot for '", name,
-               "' (published copies may all sit in partitioned domains)");
-  return best->watermark;
-}
-
-std::size_t SnapshotVault::Size() const {
-  MutexLock lock(mutex_);
-  return entries_.size();
+  return BestReachableLocked(name, unreachable).watermark;
 }
 
 SnapshotVault::ScrubReport SnapshotVault::VerifyAllSections() const {
@@ -385,17 +230,6 @@ SnapshotVault::ScrubReport SnapshotVault::VerifyAllSections() const {
     }
   }
   return report;
-}
-
-bool SnapshotVault::WaitForSnapshot(const std::string& name,
-                                    double min_watermark,
-                                    double timeout_s) const {
-  MutexLock lock(mutex_);
-  return published_.WaitForSeconds(
-      mutex_, timeout_s, [this, &name, min_watermark]() CCPERF_REQUIRES(mutex_) {
-        const Entry* best = BestReachableLocked(name, {});
-        return best != nullptr && best->watermark >= min_watermark;
-      });
 }
 
 }  // namespace ccperf::cloud

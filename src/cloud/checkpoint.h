@@ -84,63 +84,34 @@ struct CheckpointStats {
   std::vector<std::pair<double, std::string>> history;
 };
 
-/// Thread-safe store of the latest snapshot per named run: concurrent
-/// campaign runners (one per task on the global pool) publish their
-/// checkpoints here, and a recovery path — possibly on another thread —
-/// picks up the newest restorable state. Put keeps only the snapshot with
-/// the highest watermark per name, so replaying a Put after a restart is
-/// idempotent.
-///
-/// Snapshots carry an optional *fault domain* tag (cloud/fault_domains.h
-/// indices): PutMirrored lands one copy per domain, and the *Reachable
-/// accessors ignore copies whose domain is currently partitioned away —
-/// cross-domain failover restores from the newest still-reachable mirror.
-/// Untagged Put uses domain -1 ("nowhere in particular"), which is never
-/// unreachable, so single-domain users see the original semantics.
+/// Thread-safe store of the newest snapshot per (named run, fault domain):
+/// the mirrored restore drill (cloud/chaos.h) publishes each checkpoint
+/// into several domains (cloud/fault_domains.h indices) and restores from
+/// the newest copy whose domain is not partitioned away. Each domain keeps
+/// only its highest watermark, so a stale republish is ignored.
 class SnapshotVault {
  public:
   SnapshotVault() = default;
   SnapshotVault(const SnapshotVault&) = delete;
   SnapshotVault& operator=(const SnapshotVault&) = delete;
 
-  /// Publish `snapshot` for `name` at `watermark` (simulated seconds).
-  /// Ignored if an entry with a strictly higher watermark already exists.
-  void Put(const std::string& name, double watermark, std::string snapshot)
-      CCPERF_EXCLUDES(mutex_);
-
-  /// Publish one copy of `snapshot` into each domain of `domains` (the
-  /// per-domain highest watermark wins, as with Put).
+  /// Publish one copy of `snapshot` for `name` at `watermark` (simulated
+  /// seconds) into each domain of `domains`. A domain that already holds a
+  /// strictly higher watermark keeps its copy.
   void PutMirrored(const std::string& name, double watermark,
                    const std::string& snapshot,
                    const std::vector<int>& domains) CCPERF_EXCLUDES(mutex_);
 
-  [[nodiscard]] bool Contains(const std::string& name) const
-      CCPERF_EXCLUDES(mutex_);
-
-  /// Latest snapshot bytes for `name` across all domains; throws CheckError
-  /// when absent.
-  [[nodiscard]] std::string Get(const std::string& name) const
-      CCPERF_EXCLUDES(mutex_);
-
-  /// Watermark of the latest snapshot for `name`; throws when absent.
-  [[nodiscard]] double Watermark(const std::string& name) const
-      CCPERF_EXCLUDES(mutex_);
-
-  /// Like Get/Watermark/Contains, but skipping copies stored in any domain
-  /// of `unreachable` (sorted or not; -1 never matches). Get/Watermark
-  /// throw CheckError when no reachable copy exists — a partition that
-  /// swallows every mirror is a real data loss and must surface loudly.
-  [[nodiscard]] bool HasReachable(const std::string& name,
-                                  const std::vector<int>& unreachable) const
-      CCPERF_EXCLUDES(mutex_);
+  /// Bytes and watermark of the newest copy of `name` outside every domain
+  /// of `unreachable` (sorted or not). Both throw CheckError when no
+  /// reachable copy exists — a partition that swallows every mirror is a
+  /// real data loss and must surface loudly.
   [[nodiscard]] std::string GetReachable(
       const std::string& name, const std::vector<int>& unreachable) const
       CCPERF_EXCLUDES(mutex_);
   [[nodiscard]] double ReachableWatermark(
       const std::string& name, const std::vector<int>& unreachable) const
       CCPERF_EXCLUDES(mutex_);
-
-  [[nodiscard]] std::size_t Size() const CCPERF_EXCLUDES(mutex_);
 
   /// One copy the integrity scrub flagged: `name`'s mirror in `domain`
   /// failed the snapshot-format CRC walk (SnapshotIntact).
@@ -164,27 +135,20 @@ class SnapshotVault {
   [[nodiscard]] ScrubReport VerifyAllSections() const
       CCPERF_EXCLUDES(mutex_);
 
-  /// Block until a snapshot for `name` with watermark >= min_watermark is
-  /// published, or `timeout_s` elapses; true iff the snapshot arrived.
-  [[nodiscard]] bool WaitForSnapshot(const std::string& name,
-                                     double min_watermark,
-                                     double timeout_s) const
-      CCPERF_EXCLUDES(mutex_);
-
  private:
   struct Entry {
     double watermark = 0.0;
     std::string bytes;
   };
 
-  /// Newest reachable copy of `name`, or nullptr. Ties on watermark pick
-  /// the lowest domain index — deterministic regardless of publish order.
-  [[nodiscard]] const Entry* BestReachableLocked(
+  /// Newest reachable copy of `name`; throws CheckError when there is none.
+  /// Ties on watermark pick the lowest domain index — deterministic
+  /// regardless of publish order.
+  [[nodiscard]] const Entry& BestReachableLocked(
       const std::string& name, const std::vector<int>& unreachable) const
       CCPERF_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  mutable CondVar published_;
   // name -> (domain -> newest entry in that domain). std::map keeps
   // iteration deterministic (and the lint bans hash containers in src/).
   std::map<std::string, std::map<int, Entry>> entries_
@@ -237,52 +201,5 @@ SpotRunEstimate EstimateSpotRun(const CloudSimulator& sim,
                                 const CheckpointPolicy& policy,
                                 RatePerHour preemption_rate,
                                 Seconds restart = Seconds(60.0));
-
-/// Resumable offline run: the paper's Eq. 1-4 batch-inference model with
-/// per-instance progress in whole batches, checkpointable through the
-/// common snapshot format. A preempted campaign restored from its latest
-/// snapshot loses only the work since that snapshot instead of restarting
-/// the whole workload from zero.
-class ResumableOfflineRun {
- public:
-  /// `batch` 0 picks the largest batch that fits each GPU (as
-  /// CloudSimulator::InstanceSeconds does).
-  ResumableOfflineRun(const CloudSimulator& sim, const ResourceConfig& config,
-                      const VariantPerf& perf, std::int64_t images,
-                      std::int64_t batch = 0);
-
-  /// Advance every instance to simulated time `t_s` (monotone; whole
-  /// completed batches only — a batch in flight at `t_s` is not counted).
-  void AdvanceTo(double t_s);
-
-  [[nodiscard]] bool Done() const;
-  [[nodiscard]] std::int64_t ImagesDone() const;
-  [[nodiscard]] std::int64_t TotalImages() const { return total_images_; }
-  [[nodiscard]] double Elapsed() const { return elapsed_s_; }
-  /// Fault-free completion time — the paper's T (Eq. 2).
-  [[nodiscard]] double TotalSeconds() const;
-
-  /// Capture progress; restore into a run built from the same
-  /// (config, perf, images, batch) inputs. Mismatched inputs or corrupted
-  /// bytes throw CheckError.
-  [[nodiscard]] std::string Checkpoint() const;
-  void Restore(const std::string& snapshot);
-
- private:
-  struct Slot {
-    std::string type;
-    std::int64_t target = 0;         // W_i (Eq. 4 share)
-    std::int64_t done = 0;
-    std::int64_t images_per_step = 0;  // batch * gpus
-    double step_seconds = 0.0;         // one batch round across the GPUs
-  };
-
-  std::uint32_t Fingerprint() const;
-
-  std::vector<Slot> slots_;
-  std::int64_t total_images_ = 0;
-  std::int64_t batch_ = 0;
-  double elapsed_s_ = 0.0;
-};
 
 }  // namespace ccperf::cloud

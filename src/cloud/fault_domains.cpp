@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -16,62 +13,6 @@ namespace {
 bool IsCorrelatedKind(FaultKind kind) {
   return kind == FaultKind::kDomainOutage ||
          kind == FaultKind::kReclaimWave || kind == FaultKind::kPartition;
-}
-
-/// Strict double parse, mirroring the fault-schedule CSV rules.
-double ParseDoubleCell(const std::string& cell, const char* what) {
-  const auto first = cell.find_first_not_of(" \t\r");
-  CCPERF_CHECK(first != std::string::npos, "empty ", what, " cell");
-  const auto last = cell.find_last_not_of(" \t\r");
-  const std::string body = cell.substr(first, last - first + 1);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(body.c_str(), &end);
-  CCPERF_CHECK(end == body.c_str() + body.size() && errno == 0,
-               "malformed ", what, " value '", cell, "'");
-  CCPERF_CHECK(std::isfinite(value), what, " must be finite, got '", cell,
-               "'");
-  return value;
-}
-
-std::uint64_t ParseSeedCell(const std::string& cell) {
-  const auto first = cell.find_first_not_of(" \t\r");
-  CCPERF_CHECK(first != std::string::npos, "empty seed cell");
-  const auto last = cell.find_last_not_of(" \t\r");
-  const std::string body = cell.substr(first, last - first + 1);
-  CCPERF_CHECK(body.find_first_not_of("0123456789") == std::string::npos,
-               "seed must be an unsigned integer, got '", cell, "'");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(body.c_str(), &end, 10);
-  CCPERF_CHECK(end == body.c_str() + body.size() && errno == 0,
-               "malformed seed value '", cell, "'");
-  return static_cast<std::uint64_t>(value);
-}
-
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::stringstream ss(line);
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  if (!line.empty() && line.back() == ',') cells.emplace_back();
-  return cells;
-}
-
-std::string Trimmed(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const auto last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
-}
-
-FaultKind ParseCorrelatedKind(const std::string& cell) {
-  const std::string name = Trimmed(cell);
-  if (name == "domain-outage") return FaultKind::kDomainOutage;
-  if (name == "reclaim-wave") return FaultKind::kReclaimWave;
-  if (name == "partition") return FaultKind::kPartition;
-  CCPERF_CHECK(false, "unknown correlated fault kind '", cell, "'");
-  return FaultKind::kDomainOutage;  // unreachable
 }
 
 void ValidateCorrelatedEvent(const CorrelatedEvent& event, int domain_count) {
@@ -104,16 +45,6 @@ const char* DomainLevelName(DomainLevel level) {
       return "zone";
     case DomainLevel::kPool:
       return "pool";
-  }
-  return "?";
-}
-
-const char* PlacementSpreadName(PlacementSpread spread) {
-  switch (spread) {
-    case PlacementSpread::kPack:
-      return "pack";
-    case PlacementSpread::kSpread:
-      return "spread";
   }
   return "?";
 }
@@ -238,20 +169,6 @@ void CorrelatedSchedule::Validate(const FaultDomainTopology& topology) const {
   }
 }
 
-std::vector<int> CorrelatedSchedule::UnreachableDomainsAt(double t) const {
-  std::vector<int> unreachable;
-  for (const CorrelatedEvent& event : events) {
-    if (event.kind != FaultKind::kPartition) continue;
-    if (t >= event.start_s && t < event.start_s + event.duration_s) {
-      unreachable.push_back(event.domain);
-    }
-  }
-  std::sort(unreachable.begin(), unreachable.end());
-  unreachable.erase(std::unique(unreachable.begin(), unreachable.end()),
-                    unreachable.end());
-  return unreachable;
-}
-
 CorrelatedSchedule GenerateCorrelatedSchedule(
     const CorrelatedFaultModel& model, const FaultDomainTopology& topology,
     double duration_s, Rng& rng) {
@@ -325,8 +242,7 @@ FaultSchedule LowerCorrelatedSchedule(const CorrelatedSchedule& schedule,
       const int victims = static_cast<int>(
           std::ceil(event.fraction * static_cast<double>(n)));
       // Victim choice is keyed on the event's own seed, not the generator
-      // rng, so a schedule round-tripped through CSV (or replayed against a
-      // different fleet size) lowers to the identical victim set.
+      // rng, so lowering the same event twice picks the same victims.
       Rng victim_rng(event.seed);
       const std::vector<std::uint32_t> perm = victim_rng.Permutation(
           static_cast<std::uint32_t>(n));
@@ -353,65 +269,6 @@ FaultSchedule LowerCorrelatedSchedule(const CorrelatedSchedule& schedule,
                      return a.instance < b.instance;
                    });
   return out;
-}
-
-CorrelatedSchedule ParseCorrelatedScheduleCsv(const std::string& text) {
-  std::stringstream in(text);
-  std::string line;
-  CCPERF_CHECK(static_cast<bool>(std::getline(in, line)),
-               "correlated fault CSV is empty");
-  CCPERF_CHECK(Trimmed(line) == "kind,domain,start_s,duration_s,fraction,"
-                                "seed",
-               "unexpected correlated fault CSV header '", line, "'");
-  CorrelatedSchedule schedule;
-  std::size_t line_number = 1;
-  double previous_start = 0.0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (Trimmed(line).empty()) continue;
-    CorrelatedEvent event;
-    try {
-      const std::vector<std::string> cells = SplitCsvLine(line);
-      CCPERF_CHECK(cells.size() == 6, "row needs 6 cells, got ",
-                   cells.size());
-      event.kind = ParseCorrelatedKind(cells[0]);
-      const double domain = ParseDoubleCell(cells[1], "domain");
-      CCPERF_CHECK(domain >= 0.0 && domain < 1e9 &&
-                       domain == std::floor(domain),
-                   "domain index must be a small non-negative integer, "
-                   "got '",
-                   cells[1], "'");
-      event.domain = static_cast<int>(domain);
-      event.start_s = ParseDoubleCell(cells[2], "start_s");
-      event.duration_s = ParseDoubleCell(cells[3], "duration_s");
-      event.fraction = ParseDoubleCell(cells[4], "fraction");
-      event.seed = ParseSeedCell(cells[5]);
-      ValidateCorrelatedEvent(event,
-                              std::numeric_limits<int>::max());
-      CCPERF_CHECK(event.start_s >= previous_start,
-                   "events must be start-sorted: start_s ", event.start_s,
-                   " is before ", previous_start);
-    } catch (const CheckError& error) {
-      CCPERF_CHECK(false, "correlated fault CSV line ", line_number, " ('",
-                   Trimmed(line), "'): ", error.what());
-    }
-    previous_start = event.start_s;
-    schedule.events.push_back(event);
-  }
-  return schedule;
-}
-
-std::string CorrelatedScheduleCsv(const CorrelatedSchedule& schedule) {
-  std::ostringstream out;
-  // max_digits10 so that parsing the CSV reproduces the schedule exactly.
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << "kind,domain,start_s,duration_s,fraction,seed\n";
-  for (const CorrelatedEvent& event : schedule.events) {
-    out << FaultKindName(event.kind) << ',' << event.domain << ','
-        << event.start_s << ',' << event.duration_s << ',' << event.fraction
-        << ',' << event.seed << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace ccperf::cloud

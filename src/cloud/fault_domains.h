@@ -43,9 +43,6 @@ enum class PlacementSpread {
   kSpread,  // round-robin instances across all pools
 };
 
-/// "pack" / "spread".
-const char* PlacementSpreadName(PlacementSpread spread);
-
 /// A region -> zone -> pool tree plus the instance -> pool map. Domains are
 /// stored parent-before-child, so walking `parent` links always terminates.
 struct FaultDomainTopology {
@@ -103,9 +100,8 @@ struct CorrelatedFaultModel {
 };
 
 /// One domain-level incident. `seed` feeds victim selection when the event
-/// is lowered (reclaim waves preempt a random `fraction` of the pool), so a
-/// schedule round-tripped through CSV lowers to the identical instance
-/// trace.
+/// is lowered (reclaim waves preempt a random `fraction` of the pool), so
+/// the victims are a property of the event, not of the generator's draws.
 struct CorrelatedEvent {
   FaultKind kind = FaultKind::kDomainOutage;  // one of the correlated kinds
   int domain = 0;
@@ -124,10 +120,6 @@ struct CorrelatedSchedule {
   void Validate(const FaultDomainTopology& topology) const;
 
   [[nodiscard]] bool Empty() const { return events.empty(); }
-
-  /// Domains with a partition covering time `t` (ascending, deduplicated).
-  /// Checkpoints mirrored into these domains are unreachable at `t`.
-  [[nodiscard]] std::vector<int> UnreachableDomainsAt(double t) const;
 };
 
 /// Draw a correlated schedule over `duration_s` seconds. Deterministic
@@ -144,10 +136,5 @@ CorrelatedSchedule GenerateCorrelatedSchedule(
 /// MergeFaultSchedules.
 FaultSchedule LowerCorrelatedSchedule(const CorrelatedSchedule& schedule,
                                       const FaultDomainTopology& topology);
-
-/// CSV with header "kind,domain,start_s,duration_s,fraction,seed"; same
-/// strict error handling as the fault-schedule CSV (errors name the line).
-CorrelatedSchedule ParseCorrelatedScheduleCsv(const std::string& text);
-std::string CorrelatedScheduleCsv(const CorrelatedSchedule& schedule);
 
 }  // namespace ccperf::cloud

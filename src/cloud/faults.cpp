@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -293,16 +292,6 @@ FaultSchedule ParseFaultScheduleCsv(const std::string& text) {
   return ParseFaultScheduleCsv(stream);
 }
 
-FaultSchedule LoadFaultScheduleFromFile(const std::string& path) {
-  std::ifstream in(path);
-  CCPERF_CHECK(in.good(), "cannot open fault schedule '", path, "'");
-  try {
-    return ParseFaultScheduleCsv(in);
-  } catch (const CheckError& error) {
-    CCPERF_CHECK(false, "fault schedule '", path, "': ", error.what());
-  }
-}
-
 std::string FaultScheduleCsv(const FaultSchedule& schedule) {
   std::ostringstream out;
   // max_digits10 so that parsing the CSV reproduces the schedule exactly.
@@ -314,56 +303,6 @@ std::string FaultScheduleCsv(const FaultSchedule& schedule) {
         << event.slowdown_factor << '\n';
   }
   return out.str();
-}
-
-const FaultSchedule& FaultScheduleCache::Get(const FaultModel& model,
-                                             int instances, double duration_s,
-                                             std::uint64_t seed) {
-  const Key key{model.preemption_rate,
-                model.crash_rate,
-                model.restart_s,
-                model.slowdown_rate,
-                model.slowdown_s,
-                model.slowdown_factor,
-                model.sdc_rate,
-                model.sdc_window_s,
-                instances,
-                duration_s,
-                seed};
-  {
-    MutexLock lock(mutex_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++hits_;
-      return *it->second;
-    }
-  }
-  // Generate outside the lock: schedules over long horizons are not cheap,
-  // and holding the mutex here would serialize every first-touch sweep.
-  // Concurrent misses on one key do redundant work but produce identical
-  // schedules; emplace keeps whichever landed first.
-  Rng rng(seed);
-  auto generated = std::make_unique<const FaultSchedule>(
-      GenerateFaultSchedule(model, instances, duration_s, rng));
-  MutexLock lock(mutex_);
-  ++misses_;
-  const auto [it, inserted] = cache_.emplace(key, std::move(generated));
-  return *it->second;
-}
-
-std::size_t FaultScheduleCache::Size() const {
-  MutexLock lock(mutex_);
-  return cache_.size();
-}
-
-std::size_t FaultScheduleCache::Hits() const {
-  MutexLock lock(mutex_);
-  return hits_;
-}
-
-std::size_t FaultScheduleCache::Misses() const {
-  MutexLock lock(mutex_);
-  return misses_;
 }
 
 InstanceTimeline::InstanceTimeline(const FaultSchedule& schedule,

@@ -9,14 +9,8 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
-
-#include "common/annotations.h"
-#include "common/threading.h"
 
 namespace ccperf {
 class Rng;
@@ -114,51 +108,8 @@ FaultSchedule MergeFaultSchedules(const FaultSchedule& a,
 FaultSchedule ParseFaultScheduleCsv(std::istream& in);
 FaultSchedule ParseFaultScheduleCsv(const std::string& text);
 
-/// Load a fault CSV from disk; errors (including parse errors) name the
-/// path, and parse errors keep their line context.
-FaultSchedule LoadFaultScheduleFromFile(const std::string& path);
-
 /// Inverse of ParseFaultScheduleCsv (round-trips exactly enough to replay).
 std::string FaultScheduleCsv(const FaultSchedule& schedule);
-
-/// Thread-safe memoization of GenerateFaultSchedule: parallel sweeps that
-/// replay the same (model, fleet size, horizon, seed) share one generated
-/// schedule instead of regenerating it per task. Entries are never evicted,
-/// so returned references stay valid for the cache's lifetime. Generation
-/// is deterministic in the key, so racing misses on the same key converge
-/// on identical schedules (first insert wins).
-class FaultScheduleCache {
- public:
-  FaultScheduleCache() = default;
-  FaultScheduleCache(const FaultScheduleCache&) = delete;
-  FaultScheduleCache& operator=(const FaultScheduleCache&) = delete;
-
-  /// The schedule GenerateFaultSchedule produces for Rng(seed); generated
-  /// at most once per distinct key (modulo concurrent first misses).
-  const FaultSchedule& Get(const FaultModel& model, int instances,
-                           double duration_s, std::uint64_t seed)
-      CCPERF_EXCLUDES(mutex_);
-
-  [[nodiscard]] std::size_t Size() const CCPERF_EXCLUDES(mutex_);
-  /// Lookups served from the cache / generations performed.
-  [[nodiscard]] std::size_t Hits() const CCPERF_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t Misses() const CCPERF_EXCLUDES(mutex_);
-
- private:
-  // Every FaultModel field participates in the key; two models that differ
-  // only in an unused rate still hash apart, which is the conservative side.
-  using Key = std::tuple<double, double, double, double, double, double,
-                         double, double, int, double, std::uint64_t>;
-
-  // std::map, not a hash map: iteration order never feeds numeric code
-  // here, but the determinism lint bans hash containers in src/
-  // wholesale (scripts/check_determinism_lint.sh).
-  mutable Mutex mutex_;
-  std::map<Key, std::unique_ptr<const FaultSchedule>> cache_
-      CCPERF_GUARDED_BY(mutex_);
-  std::size_t hits_ CCPERF_GUARDED_BY(mutex_) = 0;
-  std::size_t misses_ CCPERF_GUARDED_BY(mutex_) = 0;
-};
 
 /// Availability/slowdown timeline of one instance under a schedule:
 /// merged down intervals (crashes + preemption) and slowdown windows.

@@ -69,9 +69,11 @@ inline constexpr double kTransientFraction = 0.7;
 inline constexpr double kTransientWindowS = 120.0;
 
 /// Top-1/Top-5 accuracy factor of work delivered under an ESCAPED
-/// corruption, relative to clean work: CalibratedAccuracyModel's knee at
-/// D = kSdcCorruptionDamage (multiplier 1/(1+0.55^2) = 0.768, top-1
-/// steepness 1.15 → 0.738). Kept as constants so the evaluator does not
+/// corruption, relative to clean work: core::CalibratedAccuracyModel's
+/// CaffeNet() EvaluateQuantized({}, kSdcCorruptionDamage) divided by
+/// Evaluate({}) — the knee 1/(1+0.55^2) = 0.768 for top-5, raised to the
+/// top-1 steepness 1.15 for 0.738 — rounded to 3 decimals. A test pins the
+/// constants to the model. Kept as constants so the evaluator does not
 /// need the accuracy model per id.
 inline constexpr double kCorruptTop1Factor = 0.738;
 inline constexpr double kCorruptTop5Factor = 0.768;

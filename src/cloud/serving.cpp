@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "common/stats.h"
-#include "common/threading.h"
 
 namespace ccperf::cloud {
 
@@ -249,33 +248,6 @@ ServingReport ServingSimulator::SimulateFaulted(
                               variant_accuracy, redundancy, sdc);
   while (!engine.Done()) engine.Step();
   return engine.Finish();
-}
-
-std::vector<ServingReport> ServingSimulator::SimulateFaultedMany(
-    const std::vector<FaultedScenario>& scenarios, const VariantPerf& perf,
-    double duration_s, const ServingPolicy& policy, const RetryPolicy& retry,
-    InflightPolicy inflight) const {
-  std::vector<ServingReport> reports(scenarios.size());
-  FirstErrorCollector errors;
-  // Each task owns slot i exclusively, so the reports need no lock; only
-  // the error funnel is shared. grain=1: one simulation per task — the
-  // per-scenario cost dwarfs dispatch overhead.
-  ParallelFor(
-      0, scenarios.size(),
-      [&](std::size_t i) {
-        const FaultedScenario& s = scenarios[i];
-        try {
-          reports[i] =
-              SimulateFaulted(s.config, perf, s.arrivals, duration_s, policy,
-                              retry, s.faults, inflight, s.variant_accuracy);
-        } catch (const CheckError& error) {
-          errors.Record(i, detail::ConcatMessage("scenario ", i, ": ",
-                                                 error.what()));
-        }
-      },
-      /*grain=*/1);
-  errors.RethrowIfError();
-  return reports;
 }
 
 ServingReport ServingSimulator::SimulateFaultedCheckpointed(

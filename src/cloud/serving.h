@@ -144,15 +144,6 @@ struct ServingReport {
   double delivered_accuracy_weighted_goodput = 0.0;
 };
 
-/// One entry of a SimulateFaultedMany sweep: a fleet, an arrival trace and
-/// the fault schedule it is replayed against.
-struct FaultedScenario {
-  ResourceConfig config;
-  std::vector<double> arrivals;
-  FaultSchedule faults;
-  double variant_accuracy = 1.0;
-};
-
 /// Discrete-event simulator over the calibrated device model.
 class ServingSimulator {
  public:
@@ -210,18 +201,6 @@ class ServingSimulator {
       double variant_accuracy = 1.0,
       const RedundancyPolicy& redundancy = {},
       const SdcPolicy& sdc = {}) const;
-
-  /// Run every scenario through SimulateFaulted, fanned across the global
-  /// thread pool (each scenario's simulation stays serial, so report i is
-  /// bitwise identical to a standalone SimulateFaulted of scenario i
-  /// regardless of scheduling). If scenarios fail validation, the error of
-  /// the lowest-index failing scenario is rethrown — deterministically —
-  /// after the sweep finishes.
-  [[nodiscard]] std::vector<ServingReport> SimulateFaultedMany(
-      const std::vector<FaultedScenario>& scenarios, const VariantPerf& perf,
-      double duration_s, const ServingPolicy& policy,
-      const RetryPolicy& retry,
-      InflightPolicy inflight = InflightPolicy::kRequeue) const;
 
   /// Max sustainable arrival rate (requests/s) of a configuration at full
   /// batching — the stability boundary of Simulate().

@@ -22,19 +22,11 @@ thread_local int tls_serial_depth = 0;
 // the raw std::mutex; adopt the already-held lock for the duration of the
 // block and release it back to the caller's MutexLock afterwards. The
 // analysis cannot see through the adopt/release dance, which is exactly why
-// these two are the only places it happens.
+// this is the only place it happens.
 void CondVar::Wait(Mutex& mu) {
   std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
   cv_.wait(lock);
   lock.release();
-}
-
-bool CondVar::WaitUntil(Mutex& mu,
-                        std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-  const std::cv_status status = cv_.wait_until(lock, deadline);
-  lock.release();
-  return status == std::cv_status::no_timeout;
 }
 
 void FirstErrorCollector::Record(std::size_t index, std::string message) {

@@ -11,7 +11,6 @@
 // its lock.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -78,30 +77,10 @@ class CondVar {
     while (!pred()) Wait(mu);
   }
 
-  /// Block until pred() holds or `timeout_s` seconds elapse; returns the
-  /// final pred() value. timeout_s <= 0 evaluates pred() once.
-  template <typename Pred>
-  bool WaitForSeconds(Mutex& mu, double timeout_s, Pred pred)
-      CCPERF_REQUIRES(mu) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration_cast<
-                              std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(timeout_s));
-    while (!pred()) {
-      if (!WaitUntil(mu, deadline)) return pred();
-    }
-    return true;
-  }
-
   void NotifyOne() noexcept { cv_.notify_one(); }
   void NotifyAll() noexcept { cv_.notify_all(); }
 
  private:
-  /// Timed wait; false on timeout.
-  bool WaitUntil(Mutex& mu,
-                 std::chrono::steady_clock::time_point deadline)
-      CCPERF_REQUIRES(mu);
-
   std::condition_variable cv_;
 };
 

@@ -87,13 +87,6 @@ AccuracyResult CalibratedAccuracyModel::EvaluateQuantized(
   return result;
 }
 
-AccuracyResult CalibratedAccuracyModel::EvaluateCorrupted(
-    const pruning::PrunePlan& plan, double quant_damage,
-    double corruption_damage) const {
-  CCPERF_CHECK(corruption_damage >= 0.0, "negative corruption damage");
-  return EvaluateQuantized(plan, quant_damage + corruption_damage);
-}
-
 AccuracyResult CalibratedAccuracyModel::Baseline() const {
   return {base_top1_, base_top5_};
 }

@@ -68,12 +68,15 @@ class CalibratedAccuracyModel final : public AccuracyModel {
 
   /// Damage contributed by one UNDETECTED silent weight corruption (a
   /// sign/exponent/high-mantissa bit flip that escaped detection and stayed
-  /// resident). Calibrated against
-  /// EmpiricalAccuracyEvaluator::EvaluateCorrupted on the scaled CaffeNet:
-  /// a single high-bit flip in a conv/fc weight typically drops measured
-  /// agreement to ~0.75-0.80, which maps through the knee 1/(1+D^2) to
-  /// D ~= 0.55. Additive with pruning and quantization damage — a corrupted
-  /// aggressive variant degrades super-additively, same as Obs. 3.
+  /// resident). A single high-bit flip in a conv/fc weight of the scaled
+  /// CaffeNet typically drops measured agreement to ~0.75-0.80, which maps
+  /// through the knee 1/(1+D^2) to D ~= 0.55. Additive with pruning and
+  /// quantization damage — a corrupted aggressive variant degrades
+  /// super-additively, same as Obs. 3. The cloud SDC model prices escaped
+  /// corruption with this damage: cloud/sdc.h's kCorruptTop1Factor and
+  /// kCorruptTop5Factor are EvaluateQuantized({}, kSdcCorruptionDamage)
+  /// over Evaluate({}) on CaffeNet(), rounded to 3 decimals (a test pins
+  /// the link).
   static constexpr double kSdcCorruptionDamage = 0.55;
 
   [[nodiscard]] AccuracyResult Evaluate(
@@ -86,15 +89,6 @@ class CalibratedAccuracyModel final : public AccuracyModel {
   [[nodiscard]] AccuracyResult EvaluateQuantized(
       const pruning::PrunePlan& plan,
       double quant_damage = kInt8QuantDamage) const;
-
-  /// Accuracy of `plan` while carrying an undetected silent corruption:
-  /// pruning damage + optional quantization damage + `corruption_damage`,
-  /// through the same knee response. The cloud SDC model uses the ratio
-  /// EvaluateCorrupted(plan).top1 / Evaluate(plan).top1 as the delivered-
-  /// accuracy factor of work tainted by an escaped corruption.
-  [[nodiscard]] AccuracyResult EvaluateCorrupted(
-      const pruning::PrunePlan& plan, double quant_damage = 0.0,
-      double corruption_damage = kSdcCorruptionDamage) const;
 
   /// Total damage D of a plan (exposed for tests and calibration).
   [[nodiscard]] double DamageOf(const pruning::PrunePlan& plan) const;

@@ -1,12 +1,9 @@
 #include "core/empirical_accuracy.h"
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
-#include "tensor/corruption.h"
 
 namespace ccperf::core {
 
@@ -71,21 +68,6 @@ AccuracyResult EmpiricalAccuracyEvaluator::EvaluateInt8(
   nn::Network quantized = variant.Clone();
   quantized.SetInt8Execution(true);
   return Evaluate(quantized);
-}
-
-AccuracyResult EmpiricalAccuracyEvaluator::EvaluateCorrupted(
-    const nn::Network& variant, std::uint64_t seed) const {
-  nn::Network corrupted = variant.Clone();
-  const std::vector<std::string> names = corrupted.WeightedLayerNames();
-  CCPERF_CHECK(!names.empty(), "variant has no weighted layer to corrupt");
-  Rng rng(seed);
-  nn::Layer* layer =
-      corrupted.FindLayer(names[static_cast<std::size_t>(
-          rng.NextIndex(static_cast<std::uint64_t>(names.size())))]);
-  CorruptionInjector injector(rng.NextU64());
-  injector.CorruptFloats(layer->MutableWeights().Data());
-  layer->NotifyWeightsChanged();
-  return Evaluate(corrupted);
 }
 
 }  // namespace ccperf::core

@@ -41,15 +41,6 @@ class EmpiricalAccuracyEvaluator {
   /// pruning: a pruned variant evaluates the sparse+quantized dispatch.
   [[nodiscard]] AccuracyResult EvaluateInt8(const nn::Network& variant) const;
 
-  /// Agreement of `variant` after one seeded silent weight corruption: the
-  /// variant is cloned and a single bit flip (CorruptionInjector's default
-  /// sign/exponent/high-mantissa range) lands in a seed-chosen weighted
-  /// layer before evaluation — measuring undetected-corruption damage
-  /// empirically (the measurement that calibrates
-  /// CalibratedAccuracyModel::kSdcCorruptionDamage).
-  [[nodiscard]] AccuracyResult EvaluateCorrupted(const nn::Network& variant,
-                                                 std::uint64_t seed = 0) const;
-
   [[nodiscard]] std::int64_t SampleSize() const { return sample_images_; }
 
  private:

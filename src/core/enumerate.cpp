@@ -137,10 +137,6 @@ const MetricRegistry& MetricRegistry::Standard() {
 
 // --- ArchitectureSpace -------------------------------------------------------
 
-void ArchitectureSpace::AddVariant(VariantSpec variant) {
-  variants_.push_back(std::move(variant));
-}
-
 void ArchitectureSpace::AddVariants(std::vector<VariantSpec> variants) {
   for (auto& v : variants) variants_.push_back(std::move(v));
 }

@@ -193,7 +193,6 @@ class ArchitectureSpace {
 
   // Builders append axis entries; Validate() (and any query) requires every
   // axis non-empty.
-  void AddVariant(VariantSpec variant);
   void AddVariants(std::vector<VariantSpec> variants);
   void AddInstanceType(std::string name);
   void SetCounts(std::vector<int> counts);          // each >= 1

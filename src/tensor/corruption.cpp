@@ -45,28 +45,6 @@ BitFlip CorruptionInjector::CorruptOutput(std::span<float> c, std::int64_t m,
   return flip;
 }
 
-BitFlip CorruptionInjector::CorruptFloats(std::span<float> data) {
-  CCPERF_CHECK(!data.empty(), "need a non-empty buffer to corrupt");
-  BitFlip flip;
-  flip.row = static_cast<std::int64_t>(rng_.NextIndex(data.size()));
-  flip.col = 0;
-  flip.bit = NextBit();
-  FlipFloatBit(data[static_cast<std::size_t>(flip.row)], flip.bit);
-  return flip;
-}
-
-BitFlip CorruptionInjector::CorruptWeights(PackedA& a) {
-  CCPERF_CHECK(a.M() >= 1 && a.K() >= 1, "need a non-empty pack to corrupt");
-  BitFlip flip;
-  flip.row = static_cast<std::int64_t>(
-      rng_.NextIndex(static_cast<std::uint64_t>(a.M())));
-  flip.col = static_cast<std::int64_t>(
-      rng_.NextIndex(static_cast<std::uint64_t>(a.K())));
-  flip.bit = NextBit();
-  FlipPackedBit(a, flip.row, flip.col, flip.bit);
-  return flip;
-}
-
 BitFlip CorruptionInjector::CorruptWeights(AbftPackedA& a) {
   CCPERF_CHECK(a.M() >= 1 && a.K() >= 1, "need a non-empty pack to corrupt");
   // Strike only the weight rows, never row M (the checksum row): corrupting

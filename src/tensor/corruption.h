@@ -41,12 +41,8 @@ class CorruptionInjector {
   /// Flip one bit of one element of a row-major M x N float buffer.
   BitFlip CorruptOutput(std::span<float> c, std::int64_t m, std::int64_t n);
 
-  /// Flip one bit of one float in a flat buffer (weights, activations).
-  BitFlip CorruptFloats(std::span<float> data);
-
   /// Flip one bit of one valid packed element (never the zero padding, and
-  /// never the checksum row of an ABFT pack).
-  BitFlip CorruptWeights(PackedA& a);
+  /// never the checksum row).
   BitFlip CorruptWeights(AbftPackedA& a);
 
   /// Flip one bit (0..7, the int8 grid) of one valid quantized element.

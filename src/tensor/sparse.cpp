@@ -158,12 +158,6 @@ BsrMatrix BsrMatrix::FromDense(std::int64_t rows, std::int64_t cols,
   return m;
 }
 
-BsrMatrix BsrMatrix::FromTensor(const Tensor& t) {
-  CCPERF_CHECK(t.GetShape().Rank() == 2, "FromTensor requires rank-2, got ",
-               t.GetShape().ToString());
-  return FromDense(t.GetShape().Dim(0), t.GetShape().Dim(1), t.Data());
-}
-
 double BsrMatrix::DenseBlockFill(std::int64_t rows, std::int64_t cols,
                                  std::span<const float> dense) {
   CheckSparseExtents(rows, cols, dense);
@@ -198,12 +192,6 @@ double BsrMatrix::Fill() const {
   if (col_idx_.empty()) return 1.0;
   return static_cast<double>(nnz_) /
          static_cast<double>(StoredBlocks() * kBlockSize);
-}
-
-double BsrMatrix::Sparsity() const {
-  const std::int64_t total = rows_ * cols_;
-  if (total == 0) return 0.0;
-  return 1.0 - static_cast<double>(nnz_) / static_cast<double>(total);
 }
 
 std::vector<float> BsrMatrix::ToDense() const {

@@ -93,9 +93,6 @@ class BsrMatrix {
   static BsrMatrix FromDense(std::int64_t rows, std::int64_t cols,
                              std::span<const float> dense);
 
-  /// Build from a rank-2 tensor.
-  static BsrMatrix FromTensor(const Tensor& t);
-
   /// Block fill a dense matrix would have as BSR (nnz / stored-block
   /// capacity), without building anything. 1.0 for an all-zero matrix so a
   /// fully pruned layer still dispatches to the cheapest sparse kernel.
@@ -111,8 +108,6 @@ class BsrMatrix {
   }
   /// nnz / (StoredBlocks * kBlockSize); 1.0 when no blocks are stored.
   [[nodiscard]] double Fill() const;
-  /// Fraction of zero entries in [0, 1].
-  [[nodiscard]] double Sparsity() const;
 
   /// Reconstruct the dense row-major matrix (tests / round-tripping).
   [[nodiscard]] std::vector<float> ToDense() const;

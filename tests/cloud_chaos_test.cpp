@@ -1,7 +1,7 @@
 // Correlated-failure fault domains and the chaos harness: topology
-// validation and placement, seeded domain-event generation + CSV round-trip,
-// lowering onto placed instances, replication/hedging semantics, the
-// policy x scenario sweep (parallel == serial, bitwise), and the mirrored
+// validation and placement, seeded domain-event generation, lowering onto
+// placed instances, replication/hedging semantics, the policy x scenario
+// sweep (parallel == serial, bitwise), its spread premium, and the mirrored
 // kill/restore drill.
 #include "cloud/chaos.h"
 
@@ -190,63 +190,6 @@ TEST(CorrelatedSchedule, ValidateRejectsBadEvents) {
   bad_fraction.events.push_back(
       {FaultKind::kReclaimWave, 2, 1.0, 0.0, 1.5, 0});
   EXPECT_THROW(bad_fraction.Validate(topo), CheckError);
-}
-
-TEST(CorrelatedSchedule, CsvRoundTripLowersIdentically) {
-  FaultDomainTopology topo = FaultDomainTopology::Uniform(1, 2, 2);
-  topo.PlaceInstances(8, PlacementSpread::kSpread);
-  CorrelatedFaultModel model;
-  model.outage_rate = 3.0;
-  model.reclaim_wave_rate = 5.0;
-  model.reclaim_fraction = 0.5;
-  model.partition_rate = 2.0;
-  Rng rng(1234);
-  const CorrelatedSchedule schedule =
-      GenerateCorrelatedSchedule(model, topo, 3600.0, rng);
-  ASSERT_FALSE(schedule.Empty());
-
-  const CorrelatedSchedule parsed =
-      ParseCorrelatedScheduleCsv(CorrelatedScheduleCsv(schedule));
-  ASSERT_EQ(parsed.events.size(), schedule.events.size());
-  for (std::size_t i = 0; i < schedule.events.size(); ++i) {
-    EXPECT_EQ(parsed.events[i].kind, schedule.events[i].kind);
-    EXPECT_EQ(parsed.events[i].domain, schedule.events[i].domain);
-    EXPECT_EQ(parsed.events[i].start_s, schedule.events[i].start_s);
-    EXPECT_EQ(parsed.events[i].duration_s, schedule.events[i].duration_s);
-    EXPECT_EQ(parsed.events[i].fraction, schedule.events[i].fraction);
-    EXPECT_EQ(parsed.events[i].seed, schedule.events[i].seed);
-  }
-
-  // The per-event victim seed survives the round-trip, so the lowered
-  // per-instance traces are identical — including wave victim choices.
-  const FaultSchedule direct = LowerCorrelatedSchedule(schedule, topo);
-  const FaultSchedule roundtripped = LowerCorrelatedSchedule(parsed, topo);
-  ASSERT_EQ(direct.events.size(), roundtripped.events.size());
-  for (std::size_t i = 0; i < direct.events.size(); ++i) {
-    EXPECT_EQ(direct.events[i].kind, roundtripped.events[i].kind);
-    EXPECT_EQ(direct.events[i].instance, roundtripped.events[i].instance);
-    EXPECT_EQ(direct.events[i].start_s, roundtripped.events[i].start_s);
-    EXPECT_EQ(direct.events[i].duration_s, roundtripped.events[i].duration_s);
-  }
-}
-
-TEST(CorrelatedSchedule, CsvErrorsNameTheOffendingLine) {
-  const std::string bad_kind =
-      "kind,domain,start_s,duration_s,fraction,seed\n"
-      "domain-outage,1,5,600,1,0\n"
-      "meteor-strike,1,9,600,1,0\n";
-  try {
-    (void)ParseCorrelatedScheduleCsv(bad_kind);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& error) {
-    EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
-        << error.what();
-    EXPECT_NE(std::string(error.what()).find("meteor-strike"),
-              std::string::npos)
-        << error.what();
-  }
-  EXPECT_THROW((void)ParseCorrelatedScheduleCsv("bogus,header\n"),
-               CheckError);
 }
 
 // ---------------------------------------------------------------- lowering
@@ -565,28 +508,34 @@ TEST_F(ChaosTest, MirroredKillRestoreIsBitwiseIdenticalToUninterrupted) {
       CheckError);
 }
 
-TEST_F(ChaosTest, RunFaultedPlacedBillsTheSpreadPremium) {
-  Autoscaler scaler(serving_, "p2.xlarge");
-  AutoscalePolicy policy;
-  policy.min_instances = 3;
-  policy.max_instances = 3;
-  const std::vector<std::vector<double>> epochs = {
-      PoissonTrace(60.0, 60.0, 23), PoissonTrace(60.0, 60.0, 24)};
-  const FaultDomainTopology topo = FaultDomainTopology::Uniform(1, 3, 1);
-  const CorrelatedSchedule calm;  // premium accounting isolated from faults
+TEST_F(ChaosTest, RunOneBillsTheSpreadPremium) {
+  // No faults, so placement cannot change the serving dynamics: the whole
+  // cost difference is the premium. Spread puts 2 of 3 instances outside
+  // the primary pool; pack puts none there.
+  const double premium_frac = 0.25;
+  const double duration = 60.0;
+  ChaosSweep sweep(serving_, FaultDomainTopology::Uniform(1, 3, 1), Fleet(3),
+                   premium_frac);
+  ChaosConfig config;
+  config.perf = perf_;
+  config.arrivals = PoissonTrace(60.0, duration, 23);
+  config.duration_s = duration;
+  IncidentScenario calm;
+  calm.name = "calm";
 
-  const AutoscaleResult packed = scaler.RunFaultedPlaced(
-      epochs, 60.0, perf_, policy, ServingPolicy{}, RetryPolicy{}, topo,
-      calm, FaultSchedule{}, PlacementSpread::kPack, 0.25);
-  const AutoscaleResult spread = scaler.RunFaultedPlaced(
-      epochs, 60.0, perf_, policy, ServingPolicy{}, RetryPolicy{}, topo,
-      calm, FaultSchedule{}, PlacementSpread::kSpread, 0.25);
-  // Spread places 2 of 3 instances outside the primary pool; packed none.
+  MitigationPolicy pack_policy;
+  pack_policy.name = "pack";
+  MitigationPolicy spread_policy = pack_policy;
+  spread_policy.name = "spread";
+  spread_policy.spread = PlacementSpread::kSpread;
+  const ChaosOutcome packed = sweep.RunOne(pack_policy, calm, config);
+  const ChaosOutcome spread = sweep.RunOne(spread_policy, calm, config);
+
+  ExpectSameReport(spread.report, packed.report);
   const double price =
       sim_.Catalog().Find("p2.xlarge").price_per_hour.value();
-  const double premium = 2.0 * price * 0.25 * 60.0 / 3600.0 * 2.0;
-  EXPECT_NEAR((spread.total_cost_usd - packed.total_cost_usd).value(),
-              premium, 1e-9);
+  EXPECT_NEAR(spread.cost_usd - packed.cost_usd,
+              2.0 * price * premium_frac * duration / 3600.0, 1e-12);
 }
 
 }  // namespace

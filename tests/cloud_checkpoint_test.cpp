@@ -9,9 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
-#include "cloud/autoscaler.h"
 #include "cloud/density.h"
 #include "cloud/serving.h"
 #include "common/check.h"
@@ -242,11 +240,13 @@ TEST_F(CheckpointTest, RestoreRejectsMismatchedInputsAndForeignSnapshots) {
                               {.max_batch = 2}, {}, {});
   EXPECT_THROW(strict.Restore(snapshot), CheckError);
 
-  // A snapshot from another subsystem (offline-run app tag) is rejected.
-  const ResumableOfflineRun offline(sim_, Fleet(), perf_, 1000);
+  // A well-formed snapshot from another subsystem (another app tag) is
+  // rejected.
+  SnapshotWriter foreign(0x4F46464Cu);  // 'OFFL'
+  foreign.AddSection("meta").PutU32(0);
   FaultedServingEngine same(serving_, Fleet(), perf_, trace, 60.0, {}, {},
                             {});
-  EXPECT_THROW(same.Restore(offline.Checkpoint()), CheckError);
+  EXPECT_THROW(same.Restore(foreign.Serialize()), CheckError);
   EXPECT_THROW(same.Restore(std::string("not a snapshot")), CheckError);
 }
 
@@ -394,40 +394,6 @@ TEST(CheckpointPolicyTest, AdaptiveHorizonShorterThanASnapshotHasNoInstants) {
   EXPECT_TRUE(CheckpointInstants(adaptive, faults, 0.5, 1).empty());
 }
 
-// -------------------------------------------------------- offline resume
-
-TEST_F(CheckpointTest, OfflineRunAdvancesAndResumes) {
-  ResumableOfflineRun run(sim_, Fleet(), perf_, 50000);
-  EXPECT_FALSE(run.Done());
-  EXPECT_EQ(run.ImagesDone(), 0);
-  EXPECT_EQ(run.TotalImages(), 50000);
-  const double total = run.TotalSeconds();
-  EXPECT_GT(total, 0.0);
-
-  run.AdvanceTo(total / 2.0);
-  const std::int64_t midway = run.ImagesDone();
-  EXPECT_GT(midway, 0);
-  EXPECT_LT(midway, 50000);
-  EXPECT_THROW(run.AdvanceTo(total / 4.0), CheckError) << "time runs forward";
-
-  // Preemption: only the snapshot survives. A restored run resumes from
-  // the recorded progress instead of zero.
-  const std::string snapshot = run.Checkpoint();
-  ResumableOfflineRun restored(sim_, Fleet(), perf_, 50000);
-  restored.Restore(snapshot);
-  EXPECT_EQ(restored.ImagesDone(), midway);
-  EXPECT_EQ(restored.Elapsed(), run.Elapsed());
-  restored.AdvanceTo(total);
-  EXPECT_TRUE(restored.Done());
-  EXPECT_EQ(restored.ImagesDone(), 50000);
-
-  // Mismatched inputs are rejected.
-  ResumableOfflineRun different(sim_, Fleet(), perf_, 60000);
-  EXPECT_THROW(different.Restore(snapshot), CheckError);
-  ResumableOfflineRun batched(sim_, Fleet(), perf_, 50000, 8);
-  EXPECT_THROW(batched.Restore(snapshot), CheckError);
-}
-
 // --------------------------------------------------------- spot economics
 
 TEST_F(CheckpointTest, SpotEstimateUndercutsOnDemandAtModestRisk) {
@@ -490,146 +456,53 @@ TEST_F(CheckpointTest, SpotEstimateRequiresASpotMarket) {
       CheckError);
 }
 
-// ------------------------------------------------------ autoscaler wiring
-
-TEST_F(CheckpointTest, AutoscalerBillsCheckpointOverhead) {
-  const Autoscaler scaler(serving_, "p2.xlarge");
-  std::vector<std::vector<double>> traces;
-  for (std::uint64_t e = 0; e < 3; ++e) {
-    traces.push_back(PoissonTrace(20.0, 60.0, 500 + e));
-  }
-  const FaultSchedule faults = CrashStorm(1, 180.0, 21);
-  const ServingPolicy policy{
-      .max_batch = 64, .max_wait_s = 0.05, .deadline_s = 2.0};
-  const AutoscalePolicy scale{.min_instances = 1, .max_instances = 3};
-  const RetryPolicy retry{.max_retries = 2};
-
-  const AutoscaleResult plain =
-      scaler.RunFaulted(traces, 60.0, perf_, scale, policy, retry, faults);
-  const CheckpointPolicy checkpoint{.interval_s = 20.0,
-                                    .snapshot_cost_s = 1.0};
-  CheckpointStats stats;
-  const AutoscaleResult checked = scaler.RunFaulted(
-      traces, 60.0, perf_, scale, policy, retry, faults, &checkpoint, &stats);
-
-  // Identical dynamics (scaling path, reports)...
-  ASSERT_EQ(checked.steps.size(), plain.steps.size());
-  for (std::size_t e = 0; e < plain.steps.size(); ++e) {
-    EXPECT_EQ(checked.steps[e].instances, plain.steps[e].instances);
-    ExpectReportsIdentical(checked.steps[e].report, plain.steps[e].report);
-  }
-  EXPECT_EQ(checked.slo_compliance, plain.slo_compliance);
-  // ...but the bill carries the snapshot overhead.
-  EXPECT_GT(stats.snapshots, 0);
-  EXPECT_NEAR(checked.total_cost_usd.value(),
-              plain.total_cost_usd.value() + stats.overhead_cost_usd, 1e-9);
-  EXPECT_FALSE(stats.latest.empty());
-}
-
 TEST(SnapshotVault, PutGetRoundTripAndMonotoneWatermark) {
   SnapshotVault vault;
-  EXPECT_FALSE(vault.Contains("run-a"));
-  EXPECT_THROW((void)vault.Get("run-a"), CheckError);
-  vault.Put("run-a", 10.0, "snap@10");
-  EXPECT_TRUE(vault.Contains("run-a"));
-  EXPECT_EQ(vault.Get("run-a"), "snap@10");
-  EXPECT_EQ(vault.Watermark("run-a"), 10.0);
+  // A name nothing was published under fails loudly.
+  EXPECT_THROW((void)vault.GetReachable("run-a", {}), CheckError);
+  EXPECT_THROW((void)vault.ReachableWatermark("run-a", {}), CheckError);
+  vault.PutMirrored("run-a", 10.0, "snap@10", {0});
+  EXPECT_EQ(vault.GetReachable("run-a", {}), "snap@10");
+  EXPECT_EQ(vault.ReachableWatermark("run-a", {}), 10.0);
   // Stale republish (a restarted runner replaying) is ignored...
-  vault.Put("run-a", 5.0, "snap@5");
-  EXPECT_EQ(vault.Get("run-a"), "snap@10");
+  vault.PutMirrored("run-a", 5.0, "snap@5", {0});
+  EXPECT_EQ(vault.GetReachable("run-a", {}), "snap@10");
+  EXPECT_EQ(vault.ReachableWatermark("run-a", {}), 10.0);
   // ...newer snapshots replace.
-  vault.Put("run-a", 20.0, "snap@20");
-  EXPECT_EQ(vault.Get("run-a"), "snap@20");
-  EXPECT_EQ(vault.Watermark("run-a"), 20.0);
-  vault.Put("run-b", 1.0, "other");
-  EXPECT_EQ(vault.Size(), 2u);
-  EXPECT_THROW((void)vault.Watermark("missing"), CheckError);
+  vault.PutMirrored("run-a", 20.0, "snap@20", {0});
+  EXPECT_EQ(vault.GetReachable("run-a", {}), "snap@20");
+  EXPECT_EQ(vault.ReachableWatermark("run-a", {}), 20.0);
+  // Names are independent: an older snapshot of another run lands as is.
+  vault.PutMirrored("run-b", 1.0, "other", {0});
+  EXPECT_EQ(vault.GetReachable("run-b", {}), "other");
+  EXPECT_EQ(vault.ReachableWatermark("run-a", {}), 20.0);
+  EXPECT_THROW((void)vault.ReachableWatermark("missing", {}), CheckError);
 }
 
 TEST(SnapshotVault, MirroredCopiesFailOverAcrossDomains) {
   SnapshotVault vault;
   vault.PutMirrored("run", 10.0, "snap@10", {2, 4});
-  // One logical name, even when mirrored into several domains.
-  EXPECT_EQ(vault.Size(), 1u);
-  EXPECT_EQ(vault.Get("run"), "snap@10");
+  EXPECT_EQ(vault.GetReachable("run", {}), "snap@10");
+  EXPECT_EQ(vault.ReachableWatermark("run", {}), 10.0);
 
   // Only domain 4 received the newer snapshot (its mirror write to 2 was
   // lost): each domain keeps its own highest watermark.
   vault.PutMirrored("run", 20.0, "snap@20", {4});
-  EXPECT_EQ(vault.Get("run"), "snap@20");
-  EXPECT_EQ(vault.Watermark("run"), 20.0);
+  EXPECT_EQ(vault.GetReachable("run", {}), "snap@20");
+  EXPECT_EQ(vault.ReachableWatermark("run", {}), 20.0);
 
   // Partition domain 4 away: failover serves domain 2's older copy.
-  EXPECT_TRUE(vault.HasReachable("run", {4}));
   EXPECT_EQ(vault.GetReachable("run", {4}), "snap@10");
   EXPECT_EQ(vault.ReachableWatermark("run", {4}), 10.0);
   // Both domains gone -> loud data loss, not a silent empty restore.
-  EXPECT_FALSE(vault.HasReachable("run", {2, 4}));
   EXPECT_THROW((void)vault.GetReachable("run", {2, 4}), CheckError);
   EXPECT_THROW((void)vault.ReachableWatermark("run", {2, 4}), CheckError);
 
-  // Untagged Put lands in domain -1, which no partition list can name.
-  vault.Put("legacy", 5.0, "bytes");
-  EXPECT_TRUE(vault.HasReachable("legacy", {0, 1, 2, 3, 4}));
-  EXPECT_EQ(vault.GetReachable("legacy", {0, 1, 2, 3, 4}), "bytes");
-
-  // Stale mirrored republish is ignored per-domain, like Put.
+  // A stale mirrored republish is ignored per domain: domain 2 moves up to
+  // 15, domain 4 keeps 20.
   vault.PutMirrored("run", 15.0, "snap@15", {2, 4});
   EXPECT_EQ(vault.GetReachable("run", {4}), "snap@15");
-  EXPECT_EQ(vault.Get("run"), "snap@20");
-}
-
-TEST(SnapshotVault, WaitForSnapshotSeesConcurrentPublisher) {
-  SnapshotVault vault;
-  std::thread publisher([&vault] {
-    vault.Put("campaign", 300.0, "state@300");
-  });
-  const bool arrived = vault.WaitForSnapshot("campaign", 300.0, 10.0);
-  publisher.join();
-  EXPECT_TRUE(arrived);
-  EXPECT_EQ(vault.Get("campaign"), "state@300");
-}
-
-TEST(SnapshotVault, WaitForSnapshotTimesOutWithoutPublisher) {
-  SnapshotVault vault;
-  vault.Put("campaign", 10.0, "early");
-  // Present but below the requested watermark -> timeout.
-  EXPECT_FALSE(vault.WaitForSnapshot("campaign", 100.0, 0.01));
-  EXPECT_FALSE(vault.WaitForSnapshot("absent", 0.0, 0.01));
-}
-
-TEST_F(CheckpointTest, VaultPublishedSnapshotRestoresTheEngine) {
-  // A checkpointed faulted run publishes into the vault; a fresh engine
-  // restored from the vault's latest snapshot finishes with the same
-  // report — the cross-thread version of the durability invariant.
-  const auto trace = PoissonTrace(30.0, 120.0, 5);
-  FaultSchedule faults;
-  faults.events.push_back({FaultKind::kCrash, 0, 40.0, 10.0, 1.0});
-  const ServingPolicy policy{.max_batch = 64, .max_wait_s = 0.05,
-                             .deadline_s = 4.0};
-  const RetryPolicy retry{.max_retries = 2};
-
-  FaultedServingEngine engine(serving_, Fleet(), perf_, trace, 120.0, policy,
-                              retry, faults);
-  SnapshotVault vault;
-  while (!engine.Done()) {
-    engine.Step();
-    if (engine.Watermark() >= 60.0 && !vault.Contains("run")) {
-      vault.Put("run", engine.Watermark(), engine.Checkpoint());
-    }
-  }
-  const ServingReport full = engine.Finish();
-  ASSERT_TRUE(vault.Contains("run"));
-
-  FaultedServingEngine resumed(serving_, Fleet(), perf_, trace, 120.0,
-                               policy, retry, faults);
-  resumed.Restore(vault.Get("run"));
-  while (!resumed.Done()) resumed.Step();
-  const ServingReport after = resumed.Finish();
-  EXPECT_EQ(full.requests, after.requests);
-  EXPECT_EQ(full.completed, after.completed);
-  EXPECT_EQ(full.mean_latency_s, after.mean_latency_s);
-  EXPECT_EQ(full.p99_latency_s, after.p99_latency_s);
+  EXPECT_EQ(vault.GetReachable("run", {}), "snap@20");
 }
 
 TEST_F(CheckpointTest, SpotEstimateIsContinuousAtZeroRisk) {
@@ -671,7 +544,7 @@ TEST_F(CheckpointTest, VaultScrubCatchesEveryByteFlip) {
   ASSERT_GT(snapshot.size(), 0u);
 
   SnapshotVault clean;
-  clean.Put("run", 10.0, snapshot);
+  clean.PutMirrored("run", 10.0, snapshot, {0});
   clean.PutMirrored("mirrored", 10.0, snapshot, {0, 1});
   const SnapshotVault::ScrubReport clean_report = clean.VerifyAllSections();
   EXPECT_TRUE(clean_report.ok());
@@ -683,7 +556,7 @@ TEST_F(CheckpointTest, VaultScrubCatchesEveryByteFlip) {
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     std::string damaged = snapshot;
     damaged[i] = static_cast<char>(damaged[i] ^ 0x20);
-    vault.Put("flip-" + std::to_string(i), 10.0, std::move(damaged));
+    vault.PutMirrored("flip-" + std::to_string(i), 10.0, damaged, {0});
   }
   const SnapshotVault::ScrubReport report = vault.VerifyAllSections();
   EXPECT_EQ(report.copies_checked, snapshot.size());

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 
@@ -231,50 +229,6 @@ TEST(FaultSchedule, SilentCorruptionRoundTripsThroughCsv) {
   EXPECT_EQ(parsed.events[0].kind, FaultKind::kSilentCorruption);
   EXPECT_DOUBLE_EQ(parsed.events[0].duration_s, 120.0);
   EXPECT_EQ(parsed.events[1].kind, FaultKind::kCrash);
-}
-
-TEST(FaultSchedule, LoadFromFileNamesThePath) {
-  EXPECT_THROW((void)LoadFaultScheduleFromFile("/nonexistent/faults.csv"),
-               CheckError);
-  try {
-    (void)LoadFaultScheduleFromFile("/nonexistent/faults.csv");
-    FAIL() << "missing file must throw";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("/nonexistent/faults.csv"),
-              std::string::npos)
-        << e.what();
-  }
-
-  // Parse errors keep both the path and the line context.
-  const std::string path =
-      std::string(::testing::TempDir()) + "bad_faults.csv";
-  {
-    std::ofstream out(path);
-    out << "kind,instance,start_s,duration_s,slowdown_factor\n"
-        << "crash,0,1,5,1\n"
-        << "meteor,1,2,5,1\n";
-  }
-  try {
-    (void)LoadFaultScheduleFromFile(path);
-    FAIL() << "bad row must throw";
-  } catch (const CheckError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
-  }
-  std::remove(path.c_str());
-
-  // A good file round-trips.
-  {
-    std::ofstream out(path);
-    out << "kind,instance,start_s,duration_s,slowdown_factor\n"
-        << "crash,0,1,5,1\n"
-        << "preemption,1,2,0,1\n";
-  }
-  const FaultSchedule loaded = LoadFaultScheduleFromFile(path);
-  ASSERT_EQ(loaded.events.size(), 2u);
-  EXPECT_EQ(loaded.events[1].kind, FaultKind::kPreemption);
-  std::remove(path.c_str());
 }
 
 TEST(FaultSchedule, SliceClipsAndShifts) {
@@ -739,53 +693,6 @@ TEST_F(FaultsTest, FaultAwareAutoscalerStepsUpAfterFailures) {
   EXPECT_GT(peak, 1) << "failure signals must force a step up";
   EXPECT_GT(result.slo_compliance, 0.5);
   EXPECT_LT(result.slo_compliance, 1.0) << "the crash epochs leave a scar";
-}
-
-TEST(FaultScheduleCache, ReturnsTheGeneratedSchedule) {
-  const FaultModel model{.preemption_rate = 2.0, .crash_rate = 4.0};
-  FaultScheduleCache cache;
-  const FaultSchedule& cached = cache.Get(model, 4, 3600.0, 7);
-  Rng rng(7);
-  const FaultSchedule direct = GenerateFaultSchedule(model, 4, 3600.0, rng);
-  ASSERT_EQ(cached.events.size(), direct.events.size());
-  for (std::size_t i = 0; i < cached.events.size(); ++i) {
-    EXPECT_EQ(cached.events[i].start_s, direct.events[i].start_s);
-    EXPECT_EQ(cached.events[i].instance, direct.events[i].instance);
-    EXPECT_EQ(cached.events[i].kind, direct.events[i].kind);
-  }
-  EXPECT_EQ(cache.Size(), 1u);
-  EXPECT_EQ(cache.Misses(), 1u);
-}
-
-TEST(FaultScheduleCache, RepeatLookupsHitAndShareOneEntry) {
-  const FaultModel model{.crash_rate = 6.0};
-  FaultScheduleCache cache;
-  const FaultSchedule& first = cache.Get(model, 2, 1800.0, 11);
-  const FaultSchedule& second = cache.Get(model, 2, 1800.0, 11);
-  EXPECT_EQ(&first, &second) << "hits must share the generated schedule";
-  EXPECT_EQ(cache.Size(), 1u);
-  EXPECT_EQ(cache.Hits(), 1u);
-  EXPECT_EQ(cache.Misses(), 1u);
-  // Any key component change is a distinct entry.
-  (void)cache.Get(model, 3, 1800.0, 11);
-  (void)cache.Get(model, 2, 1800.0, 12);
-  EXPECT_EQ(cache.Size(), 3u);
-}
-
-TEST(FaultScheduleCache, ConcurrentLookupsConvergeOnOneSchedule) {
-  const FaultModel model{.preemption_rate = 1.0, .crash_rate = 8.0,
-                         .slowdown_rate = 3.0};
-  FaultScheduleCache cache;
-  std::vector<const FaultSchedule*> seen(64, nullptr);
-  ParallelFor(
-      0, seen.size(),
-      [&](std::size_t i) { seen[i] = &cache.Get(model, 4, 3600.0, 42); },
-      1);
-  for (const FaultSchedule* p : seen) {
-    EXPECT_EQ(p, seen[0]) << "every caller must observe the same entry";
-  }
-  EXPECT_EQ(cache.Size(), 1u);
-  EXPECT_EQ(cache.Hits() + cache.Misses(), seen.size());
 }
 
 }  // namespace

@@ -181,6 +181,20 @@ TEST(DeliveredAccuracyTest, DiscountsEscapedWork) {
   EXPECT_THROW(DeliveredAccuracy(0.8, 1.5, kCorruptTop1Factor), CheckError);
 }
 
+TEST(DeliveredAccuracyTest, CorruptFactorsComeFromTheAccuracyModel) {
+  // The factors are the calibrated model's corrupted-to-clean accuracy of
+  // the unpruned CaffeNet at kSdcCorruptionDamage, rounded to 3 decimals.
+  const auto model = core::CalibratedAccuracyModel::CaffeNet();
+  const core::AccuracyResult clean = model.Evaluate({});
+  const core::AccuracyResult corrupt = model.EvaluateQuantized(
+      {}, core::CalibratedAccuracyModel::kSdcCorruptionDamage);
+  const auto at_3_decimals = [](double x) {
+    return std::round(x * 1000.0) / 1000.0;
+  };
+  EXPECT_EQ(at_3_decimals(corrupt.top1 / clean.top1), kCorruptTop1Factor);
+  EXPECT_EQ(at_3_decimals(corrupt.top5 / clean.top5), kCorruptTop5Factor);
+}
+
 // ------------------------------------------------- fault kind + timeline --
 
 TEST(SdcFaults, SilentCorruptionKindRoundTripsThroughCsv) {

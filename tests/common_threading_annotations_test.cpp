@@ -79,40 +79,6 @@ TEST(CondVar, PredicatedWaitSeesNotification) {
   producer.join();
 }
 
-TEST(CondVar, WaitForSecondsTimesOut) {
-  Mutex mu;
-  CondVar cv;
-  MutexLock lock(mu);
-  const bool got = cv.WaitForSeconds(mu, 0.01, [] { return false; });
-  EXPECT_FALSE(got);
-}
-
-TEST(CondVar, WaitForSecondsReturnsEarlyOnPredicate) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-  std::thread producer([&] {
-    MutexLock lock(mu);
-    ready = true;
-    cv.NotifyAll();
-  });
-  bool got = false;
-  {
-    MutexLock lock(mu);
-    got = cv.WaitForSeconds(mu, 10.0, [&] { return ready; });
-  }
-  EXPECT_TRUE(got);
-  producer.join();
-}
-
-TEST(CondVar, ZeroTimeoutEvaluatesPredicateOnce) {
-  Mutex mu;
-  CondVar cv;
-  MutexLock lock(mu);
-  EXPECT_TRUE(cv.WaitForSeconds(mu, 0.0, [] { return true; }));
-  EXPECT_FALSE(cv.WaitForSeconds(mu, 0.0, [] { return false; }));
-}
-
 TEST(ScopedSerial, GuardedStateStillCorrectInline) {
   // Under ScopedSerial the ParallelFor body runs inline on this thread;
   // the lock degenerates to uncontended acquire/release and the result
