@@ -17,7 +17,11 @@ Shape ReluLayer::OutputShape(const std::vector<Shape>& inputs) const {
 
 Tensor ReluLayer::Forward(const std::vector<const Tensor*>& inputs) const {
   CCPERF_CHECK(inputs.size() == 1 && inputs[0] != nullptr, "relu arity");
-  Tensor out = *inputs[0];
+  return ForwardInPlace(Tensor(*inputs[0]));
+}
+
+Tensor ReluLayer::ForwardInPlace(Tensor&& input) const {
+  Tensor out = std::move(input);
   for (float& v : out.Data()) v = std::max(v, 0.0f);
   return out;
 }
@@ -73,6 +77,10 @@ Shape DropoutLayer::OutputShape(const std::vector<Shape>& inputs) const {
 Tensor DropoutLayer::Forward(const std::vector<const Tensor*>& inputs) const {
   CCPERF_CHECK(inputs.size() == 1 && inputs[0] != nullptr, "dropout arity");
   return *inputs[0];
+}
+
+Tensor DropoutLayer::ForwardInPlace(Tensor&& input) const {
+  return std::move(input);
 }
 
 std::unique_ptr<Layer> DropoutLayer::Clone() const {

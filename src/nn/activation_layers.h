@@ -7,12 +7,13 @@
 
 namespace ccperf::nn {
 
-/// Element-wise max(x, 0).
+/// Element-wise max(x, 0); in place when its input is handed over.
 class ReluLayer final : public Layer {
  public:
   explicit ReluLayer(std::string name);
   [[nodiscard]] Shape OutputShape(const std::vector<Shape>& inputs) const override;
   [[nodiscard]] Tensor Forward(const std::vector<const Tensor*>& inputs) const override;
+  [[nodiscard]] Tensor ForwardInPlace(Tensor&& input) const override;
   [[nodiscard]] std::unique_ptr<Layer> Clone() const override;
 };
 
@@ -26,12 +27,14 @@ class SoftmaxLayer final : public Layer {
   [[nodiscard]] std::unique_ptr<Layer> Clone() const override;
 };
 
-/// Inference-mode dropout: identity (Caffe scales at train time).
+/// Inference-mode dropout: identity (Caffe scales at train time); a
+/// handed-over input is returned as is.
 class DropoutLayer final : public Layer {
  public:
   explicit DropoutLayer(std::string name);
   [[nodiscard]] Shape OutputShape(const std::vector<Shape>& inputs) const override;
   [[nodiscard]] Tensor Forward(const std::vector<const Tensor*>& inputs) const override;
+  [[nodiscard]] Tensor ForwardInPlace(Tensor&& input) const override;
   [[nodiscard]] std::unique_ptr<Layer> Clone() const override;
 };
 

@@ -60,8 +60,13 @@ Tensor ConvLayer::Forward(const std::vector<const Tensor*>& inputs) const {
   const std::int64_t out_pixels = g.OutPixels();
   const std::int64_t in_plane = in.GetShape().Dim(2) * in.GetShape().Dim(3);
 
+  // A 1x1, stride-1, unpadded conv samples every input pixel once, in
+  // order: each group's CHW slice of the image already is its
+  // [patch, out_pixels] column matrix, so it goes to the multiply as is.
+  const bool image_is_columns =
+      params_.kernel == 1 && params_.stride == 1 && params_.pad == 0;
   std::vector<float> columns(
-      static_cast<std::size_t>(patch * out_pixels));
+      image_is_columns ? 0 : static_cast<std::size_t>(patch * out_pixels));
   const std::span<const float> w = weights_.Data();
   const std::span<const float> b = bias_.Data();
   std::span<float> o = out.Data();
@@ -87,9 +92,13 @@ Tensor ConvLayer::Forward(const std::vector<const Tensor*>& inputs) const {
   for (std::int64_t img = 0; img < batch; ++img) {
     for (std::int64_t grp = 0; grp < groups; ++grp) {
       const std::int64_t in_off = (img * in_channels_ + grp * group_in) * in_plane;
-      Im2Col(g, x.subspan(static_cast<std::size_t>(in_off),
-                          static_cast<std::size_t>(group_in * in_plane)),
-             columns);
+      std::span<const float> cols =
+          x.subspan(static_cast<std::size_t>(in_off),
+                    static_cast<std::size_t>(group_in * in_plane));
+      if (!image_is_columns) {
+        Im2Col(g, cols, columns);
+        cols = columns;
+      }
       const std::int64_t out_off =
           (img * params_.out_channels + grp * group_out) * out_pixels;
       std::span<float> dst = o.subspan(static_cast<std::size_t>(out_off),
@@ -97,20 +106,20 @@ Tensor ConvLayer::Forward(const std::vector<const Tensor*>& inputs) const {
       switch (format_) {
         case KernelFormat::kCsr:
           csr_groups_[static_cast<std::size_t>(grp)].MultiplyDense(
-              columns, out_pixels, dst);
+              cols, out_pixels, dst);
           break;
         case KernelFormat::kBsr:
           bsr_groups_[static_cast<std::size_t>(grp)].MultiplyDense(
-              columns, out_pixels, dst);
+              cols, out_pixels, dst);
           break;
         case KernelFormat::kFloat:
           GemmPacked(packed_groups[static_cast<std::size_t>(grp)], out_pixels,
-                     columns, dst);
+                     cols, dst);
           break;
         case KernelFormat::kInt8:
           // Bias rides the fused dequant epilogue; skip the float add below.
           GemmInt8(int8_groups_[static_cast<std::size_t>(grp)], out_pixels,
-                   columns, dst,
+                   cols, dst,
                    {.bias = b.subspan(static_cast<std::size_t>(grp * group_out),
                                       static_cast<std::size_t>(group_out))});
           continue;

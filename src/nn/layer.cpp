@@ -40,6 +40,10 @@ LayerCost Layer::Cost(const std::vector<Shape>& inputs) const {
   return cost;
 }
 
+Tensor Layer::ForwardInPlace(Tensor&& input) const {
+  return Forward({&input});
+}
+
 Tensor& Layer::MutableWeights() {
   CCPERF_CHECK(false, "layer '", name_, "' has no weights");
 }

@@ -60,6 +60,13 @@ class Layer {
   [[nodiscard]] virtual Tensor Forward(
       const std::vector<const Tensor*>& inputs) const = 0;
 
+  /// Run the layer on its one input when the caller will not read that
+  /// input again (Network::Forward calls it for the last reader of an
+  /// intermediate). The layer may move from `input` and write its output
+  /// into that storage; the default leaves `input` alone and returns
+  /// Forward({&input}).
+  [[nodiscard]] virtual Tensor ForwardInPlace(Tensor&& input) const;
+
   /// Per-execution cost model for one batch of the given input shapes.
   /// Weighted layers discount flops/weight bytes by parameter density.
   [[nodiscard]] virtual LayerCost Cost(const std::vector<Shape>& inputs) const;

@@ -30,23 +30,30 @@ Tensor LrnLayer::Forward(const std::vector<const Tensor*>& inputs) const {
   const float alpha_over_n =
       params_.alpha / static_cast<float>(params_.local_size);
 
+  // Channel outside, plane inside, so every pass streams whole planes.
+  // Each output plane first holds its window sums: x[c']^2 added from 0.0f
+  // in ascending c', pixel by pixel, then one pow per pixel turns the sum
+  // into the output. This TU keeps the portable flags on purpose: under
+  // -march=native, GCC's default -ffp-contract=fast fuses
+  // k + alpha_over_n * ss into an FMA, which moves output bits.
   const float* src = in.Data().data();
   float* dst = out.Data().data();
   for (std::int64_t b = 0; b < batch; ++b) {
     const float* img = src + b * channels * plane;
     float* oimg = dst + b * channels * plane;
-    for (std::int64_t p = 0; p < plane; ++p) {
-      for (std::int64_t c = 0; c < channels; ++c) {
-        const std::int64_t c0 = std::max<std::int64_t>(0, c - half);
-        const std::int64_t c1 = std::min(channels, c + half + 1);
-        float ss = 0.0f;
-        for (std::int64_t cc = c0; cc < c1; ++cc) {
-          const float v = img[cc * plane + p];
-          ss += v * v;
-        }
-        const float scale =
-            std::pow(params_.k + alpha_over_n * ss, -params_.beta);
-        oimg[c * plane + p] = img[c * plane + p] * scale;
+    for (std::int64_t c = 0; c < channels; ++c) {
+      const std::int64_t c0 = std::max<std::int64_t>(0, c - half);
+      const std::int64_t c1 = std::min(channels, c + half + 1);
+      float* ss = oimg + c * plane;
+      std::fill(ss, ss + plane, 0.0f);
+      for (std::int64_t cc = c0; cc < c1; ++cc) {
+        const float* v = img + cc * plane;
+        for (std::int64_t p = 0; p < plane; ++p) ss[p] += v[p] * v[p];
+      }
+      const float* x = img + c * plane;
+      for (std::int64_t p = 0; p < plane; ++p) {
+        ss[p] = x[p] *
+                std::pow(params_.k + alpha_over_n * ss[p], -params_.beta);
       }
     }
   }

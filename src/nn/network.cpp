@@ -124,8 +124,18 @@ Tensor Network::Forward(const Tensor& input,
         ins.push_back(&*slot);
       }
     }
+    // The last reader of a single intermediate (never the caller's input)
+    // is handed its storage, so ReLU and dropout need not copy it.
+    const std::vector<std::int64_t>& from = nodes_[i].inputs;
+    const bool last_read = from.size() == 1 && from[0] >= 0 &&
+                           remaining[static_cast<std::size_t>(from[0])] == 1;
     Timer timer;
-    outputs[i] = nodes_[i].layer->Forward(ins);
+    if (last_read) {
+      outputs[i] = nodes_[i].layer->ForwardInPlace(
+          std::move(*outputs[static_cast<std::size_t>(from[0])]));
+    } else {
+      outputs[i] = nodes_[i].layer->Forward(ins);
+    }
     if (timings) {
       timings->push_back({nodes_[i].layer->Name(), nodes_[i].layer->Kind(),
                           timer.ElapsedSeconds()});

@@ -2,7 +2,9 @@
 //
 // Layers are added in topological order (each input must already exist), so
 // GoogLeNet's inception branches are expressed naturally. Forward() releases
-// intermediate activations after their last consumer to bound memory.
+// intermediate activations after their last consumer to bound memory, and
+// hands a single-input last consumer its input's storage
+// (Layer::ForwardInPlace), so ReLU and dropout run in place.
 #pragma once
 
 #include <cstdint>

@@ -17,16 +17,26 @@ PoolLayer::PoolLayer(std::string name, LayerKind kind, PoolParams params)
                "PoolLayer kind must be max or avg pool");
   CCPERF_CHECK(params_.kernel > 0 && params_.stride > 0 && params_.pad >= 0,
                "invalid pool params for ", Name());
+  // Caffe's CHECK_LT(pad, kernel): a window must reach into the image.
+  CCPERF_CHECK(params_.pad < params_.kernel, "pool pad ", params_.pad,
+               " must be below kernel ", params_.kernel, " in ", Name());
 }
 
 Shape PoolLayer::OutputShape(const std::vector<Shape>& inputs) const {
   CCPERF_CHECK(inputs.size() == 1, "pool takes one input");
   const Shape& in = inputs[0];
   CCPERF_CHECK(in.Rank() == 4, "pool input must be NCHW");
-  const std::int64_t out_h =
-      CeilDiv(in.Dim(2) + 2 * params_.pad - params_.kernel, params_.stride) + 1;
-  const std::int64_t out_w =
-      CeilDiv(in.Dim(3) + 2 * params_.pad - params_.kernel, params_.stride) + 1;
+  const auto pooled = [&](std::int64_t size) {
+    std::int64_t out =
+        CeilDiv(size + 2 * params_.pad - params_.kernel, params_.stride) + 1;
+    // Caffe's clip, applied for every pad as PyTorch does: ceil mode must
+    // not add a last window that starts past the image. Together with
+    // pad < kernel, every window then overlaps the image.
+    if ((out - 1) * params_.stride >= size + params_.pad) --out;
+    return out;
+  };
+  const std::int64_t out_h = pooled(in.Dim(2));
+  const std::int64_t out_w = pooled(in.Dim(3));
   CCPERF_CHECK(out_h > 0 && out_w > 0, "pool output collapses for ", Name());
   return Shape{in.Dim(0), in.Dim(1), out_h, out_w};
 }
@@ -63,7 +73,7 @@ Tensor PoolLayer::Forward(const std::vector<const Tensor*>& inputs) const {
               best = std::max(best, plane[h * in_w + w]);
             }
           }
-          oplane[oh * out_w + ow] = (h1 > h0 && w1 > w0) ? best : 0.0f;
+          oplane[oh * out_w + ow] = best;
         } else {
           float sum = 0.0f;
           const std::int64_t count = (h1 - h0) * (w1 - w0);
@@ -72,8 +82,7 @@ Tensor PoolLayer::Forward(const std::vector<const Tensor*>& inputs) const {
               sum += plane[h * in_w + w];
             }
           }
-          oplane[oh * out_w + ow] =
-              count > 0 ? sum / static_cast<float>(count) : 0.0f;
+          oplane[oh * out_w + ow] = sum / static_cast<float>(count);
         }
       }
     }

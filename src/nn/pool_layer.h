@@ -15,7 +15,9 @@ struct PoolParams {
 };
 
 /// Spatial pooling layer. Caffe rounds output extents *up* (ceil mode), which
-/// is what makes GoogLeNet's 3x3/2 pools produce 28->14->7 maps; we match it.
+/// is what makes GoogLeNet's 3x3/2 pools produce 28->14->7 maps; we match it,
+/// including Caffe's clip of a last window that would start in the padding
+/// and its pad < kernel rule, so every window overlaps the image.
 class PoolLayer final : public Layer {
  public:
   PoolLayer(std::string name, LayerKind kind, PoolParams params);

@@ -30,6 +30,10 @@ using kernel::kNr;
 constexpr std::int64_t kRefBlockM = 16;
 constexpr std::int64_t kRefBlockN = 4096;
 
+// Rows in flight per pass over x in Gemv (four measured best on the fc
+// shapes; two and eight were slower).
+constexpr std::size_t kGemvRows = 4;
+
 void CheckGemmArgs(std::int64_t m, std::int64_t n, std::int64_t k,
                    std::span<const float> a, std::span<const float> b,
                    std::span<float> c) {
@@ -281,7 +285,24 @@ void Gemv(std::int64_t m, std::int64_t k, std::span<const float> a,
   ParallelForChunks(
       0, static_cast<std::size_t>(m),
       [=](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
+        // A row's sum is one serial add chain, so a lone row waits on the
+        // add latency; kGemvRows rows share each pass over x instead. Every
+        // row, grouped or in the single-row tail, is the same ascending-k
+        // chain from 0.0f, so neither the grouping nor the chunking moves a
+        // bit of y.
+        std::size_t i = lo;
+        for (; i + kGemvRows <= hi; i += kGemvRows) {
+          const float* rows = ap + static_cast<std::int64_t>(i) * k;
+          float acc[kGemvRows] = {};
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            const float xv = xp[kk];
+            for (std::size_t r = 0; r < kGemvRows; ++r) {
+              acc[r] += rows[static_cast<std::int64_t>(r) * k + kk] * xv;
+            }
+          }
+          for (std::size_t r = 0; r < kGemvRows; ++r) yp[i + r] = acc[r];
+        }
+        for (; i < hi; ++i) {
           const float* row = ap + static_cast<std::int64_t>(i) * k;
           float acc = 0.0f;
           for (std::int64_t kk = 0; kk < k; ++kk) acc += row[kk] * xp[kk];

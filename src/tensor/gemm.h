@@ -18,8 +18,10 @@ namespace ccperf {
 /// k-major within a panel, zero-padded tail rows). The layout is an
 /// implementation detail of gemm.cpp; treat instances as opaque. Build once
 /// with PackA and reuse across GemmPacked calls while the matrix is
-/// unchanged — conv and fc weights are invariant across a forward pass, so
-/// the layers cache their packed weights and skip the per-call repack.
+/// unchanged. ConvLayer packs each group's weights once per forward pass
+/// and reuses the pack for every image of the batch; FcLayer's batched
+/// float path packs its weights on every call. No layer keeps a pack across
+/// passes.
 class PackedA {
  public:
   PackedA() = default;
@@ -77,7 +79,9 @@ void NaiveGemm(std::int64_t m, std::int64_t n, std::int64_t k,
 /// a valid element (never the zero padding).
 void FlipPackedBit(PackedA& a, std::int64_t row, std::int64_t k, int bit);
 
-/// y[M] = A[M,K] * x[K] (y overwritten; add bias separately).
+/// y[M] = A[M,K] * x[K] (y overwritten; add bias separately). Each y[i] is
+/// one ascending-k sum from 0.0f, so y is bitwise independent of the pool
+/// size and of the row grouping.
 void Gemv(std::int64_t m, std::int64_t k, std::span<const float> a,
           std::span<const float> x, std::span<float> y);
 

@@ -1,8 +1,14 @@
 #include "tensor/im2col.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace ccperf {
+
+namespace {
+std::int64_t CeilDiv(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
+}  // namespace
 
 void Im2Col(const ConvGeometry& g, std::span<const float> image,
             std::span<float> columns) {
@@ -25,19 +31,31 @@ void Im2Col(const ConvGeometry& g, std::span<const float> image,
     const float* plane = img + c * g.in_h * g.in_w;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
+        // Output columns [ow_lo, ow_hi) sample inside the image
+        // (iw = ow * stride - pad + kw); the rest read padding.
+        const std::int64_t ow_lo =
+            std::min(out_w, CeilDiv(std::max<std::int64_t>(0, g.pad - kw),
+                                    g.stride));
+        const std::int64_t ow_hi = std::clamp(
+            CeilDiv(std::max<std::int64_t>(0, g.in_w + g.pad - kw), g.stride),
+            ow_lo, out_w);
         float* dst = col + row * out_pixels;
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
+        for (std::int64_t oh = 0; oh < out_h; ++oh, dst += out_w) {
           const std::int64_t ih = oh * g.stride - g.pad + kh;
-          if (ih < 0 || ih >= g.in_h) {
-            for (std::int64_t ow = 0; ow < out_w; ++ow) dst[oh * out_w + ow] = 0.0f;
+          if (ih < 0 || ih >= g.in_h || ow_lo == ow_hi) {
+            std::fill(dst, dst + out_w, 0.0f);
             continue;
           }
-          const float* src_row = plane + ih * g.in_w;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            const std::int64_t iw = ow * g.stride - g.pad + kw;
-            dst[oh * out_w + ow] =
-                (iw >= 0 && iw < g.in_w) ? src_row[iw] : 0.0f;
+          const float* src = plane + ih * g.in_w + ow_lo * g.stride - g.pad + kw;
+          std::fill(dst, dst + ow_lo, 0.0f);
+          if (g.stride == 1) {
+            std::copy(src, src + (ow_hi - ow_lo), dst + ow_lo);
+          } else {
+            for (std::int64_t ow = ow_lo; ow < ow_hi; ++ow, src += g.stride) {
+              dst[ow] = *src;
+            }
           }
+          std::fill(dst + ow_hi, dst + out_w, 0.0f);
         }
       }
     }

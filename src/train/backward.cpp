@@ -260,7 +260,7 @@ std::vector<Tensor> BackwardLayer(const nn::Layer& layer,
             const std::int64_t w1 =
                 std::min(in_w, ow * pp.stride - pp.pad + pp.kernel);
             const float grad = go_p[oh * out_w + ow];
-            if (grad == 0.0f || h1 <= h0 || w1 <= w0) continue;
+            if (grad == 0.0f) continue;
             if (is_max) {
               // Route to the (first) argmax, matching forward's max.
               std::int64_t best_h = h0, best_w = w0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <ostream>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "pruning/filter_pruner.h"
 #include "pruning/magnitude_pruner.h"
+#include "tensor/gemm.h"
 
 namespace ccperf::nn {
 namespace {
@@ -162,6 +164,109 @@ TEST(ConvLayer, BlockSparsePathMatchesDensePath) {
       NaiveConv(input, layer.Weights(), layer.MutableBias(), p);
   for (std::int64_t i = 0; i < got.NumElements(); ++i) {
     EXPECT_NEAR(got.At(i), want.At(i), 1e-3f);
+  }
+}
+
+/// `layer` lowered by hand the way ConvLayer lowers every geometry: per
+/// image and group, Im2Col into a column buffer, then the multiply of the
+/// layer's dispatched format on a fresh build of the same weights, then the
+/// bias (fused into the int8 epilogue).
+Tensor Im2ColConv(const ConvLayer& layer, const Tensor& input) {
+  const ConvParams& p = layer.Params();
+  const Shape& in = input.GetShape();
+  const ConvGeometry g{.in_channels = layer.InChannels() / p.groups,
+                       .in_h = in.Dim(2), .in_w = in.Dim(3),
+                       .kernel_h = p.kernel, .kernel_w = p.kernel,
+                       .stride = p.stride, .pad = p.pad};
+  const std::int64_t group_out = p.out_channels / p.groups;
+  const std::int64_t patch = g.PatchSize();
+  const std::int64_t pixels = g.OutPixels();
+  const std::int64_t image_size = g.in_channels * g.in_h * g.in_w;
+  Tensor out(layer.OutputShape({in}));
+  std::vector<float> columns(static_cast<std::size_t>(patch * pixels));
+  for (std::int64_t img = 0; img < in.Dim(0); ++img) {
+    for (std::int64_t grp = 0; grp < p.groups; ++grp) {
+      Im2Col(g,
+             input.Data().subspan(
+                 static_cast<std::size_t>((img * p.groups + grp) * image_size),
+                 static_cast<std::size_t>(image_size)),
+             columns);
+      const auto w = layer.Weights().Data().subspan(
+          static_cast<std::size_t>(grp * group_out * patch),
+          static_cast<std::size_t>(group_out * patch));
+      const auto b = layer.Bias().Data().subspan(
+          static_cast<std::size_t>(grp * group_out),
+          static_cast<std::size_t>(group_out));
+      const std::span<float> dst = out.Data().subspan(
+          static_cast<std::size_t>((img * p.out_channels + grp * group_out) *
+                                   pixels),
+          static_cast<std::size_t>(group_out * pixels));
+      switch (layer.Format()) {
+        case KernelFormat::kFloat:
+          GemmPacked(PackA(group_out, patch, w), pixels, columns, dst);
+          break;
+        case KernelFormat::kCsr:
+          CsrMatrix::FromDense(group_out, patch, w)
+              .MultiplyDense(columns, pixels, dst);
+          break;
+        case KernelFormat::kBsr:
+          BsrMatrix::FromDense(group_out, patch, w)
+              .MultiplyDense(columns, pixels, dst);
+          break;
+        case KernelFormat::kInt8:
+          GemmInt8(QuantizePackA(group_out, patch, w), pixels, columns, dst,
+                   {.bias = b});
+          continue;
+      }
+      for (std::int64_t oc = 0; oc < group_out; ++oc) {
+        for (std::int64_t px = 0; px < pixels; ++px) {
+          dst[static_cast<std::size_t>(oc * pixels + px)] +=
+              b[static_cast<std::size_t>(oc)];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// A 1x1, stride-1, unpadded conv hands its image to the multiply without
+// Im2Col. On every format, grouped or not, that must be bit for bit the
+// conv lowered through Im2Col.
+TEST(ConvLayer, OneByOneSkipsIm2ColBitwise) {
+  for (const std::int64_t groups : {1, 2}) {
+    for (const KernelFormat format :
+         {KernelFormat::kFloat, KernelFormat::kCsr, KernelFormat::kBsr,
+          KernelFormat::kInt8}) {
+      SCOPED_TRACE(::testing::Message() << "groups " << groups << ", format "
+                                        << static_cast<int>(format));
+      ConvLayer layer("conv1x1", {.out_channels = 16, .groups = groups}, 8);
+      Rng rng(static_cast<std::uint64_t>(31 + groups));
+      layer.MutableWeights().FillGaussian(rng, 0.0f, 0.5f);
+      layer.MutableBias().FillGaussian(rng, 0.0f, 0.1f);
+      layer.NotifyWeightsChanged();
+      switch (format) {
+        case KernelFormat::kFloat:
+          break;
+        case KernelFormat::kCsr:
+          pruning::MagnitudePruner().Prune(layer, 0.85);
+          break;
+        case KernelFormat::kBsr:
+          pruning::L1FilterPruner(/*block_aligned=*/true).Prune(layer, 0.5);
+          break;
+        case KernelFormat::kInt8:
+          layer.SetInt8Execution(true);
+          break;
+      }
+      ASSERT_EQ(layer.Format(), format);
+
+      Tensor input(Shape{2, 8, 5, 6});
+      input.FillGaussian(rng, 0.0f, 1.0f);
+      const Tensor got = layer.Forward({&input});
+      const Tensor want = Im2ColConv(layer, input);
+      ASSERT_EQ(got.GetShape(), want.GetShape());
+      EXPECT_EQ(0, std::memcmp(got.Data().data(), want.Data().data(),
+                               got.Data().size_bytes()));
+    }
   }
 }
 

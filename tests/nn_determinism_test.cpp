@@ -48,19 +48,23 @@ TEST(Determinism, CaffeNetForwardIsBitwiseReproducible) {
 TEST(Determinism, CaffeNetForwardMatchesSerialExecution) {
   const nn::Network net = ScaledCaffeNet();
   const data::SyntheticImageDataset dataset(Shape{3, 227, 227}, 32, 8, 9);
-  const Tensor batch = dataset.Batch(0, 2);
+  // Batch 1 runs the fc layers through Gemv, batch 2 through GemmPacked.
+  for (const std::int64_t images : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << images);
+    const Tensor batch = dataset.Batch(0, images);
 
-  const std::vector<float> pooled = Logits(net, batch);
-  std::vector<float> serial;
-  {
-    // ScopedSerial forces every ParallelFor into the calling thread — the
-    // ThreadPool(1) equivalent — without rebuilding the global pool.
-    ScopedSerial serial_scope;
-    serial = Logits(net, batch);
+    const std::vector<float> pooled = Logits(net, batch);
+    std::vector<float> serial;
+    {
+      // ScopedSerial forces every ParallelFor into the calling thread — the
+      // ThreadPool(1) equivalent — without rebuilding the global pool.
+      ScopedSerial serial_scope;
+      serial = Logits(net, batch);
+    }
+    ASSERT_EQ(pooled.size(), serial.size());
+    EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
+                             pooled.size() * sizeof(float)));
   }
-  ASSERT_EQ(pooled.size(), serial.size());
-  EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
-                           pooled.size() * sizeof(float)));
 }
 
 /// Count of weighted layers currently dispatched to `kernel`.
@@ -88,20 +92,24 @@ TEST(Determinism, PrunedCsrForwardMatchesSerialExecution) {
   ASSERT_GT(LayersOnKernel(net, SparseKernel::kCsr), 0)
       << "pruning did not activate any CSR layer";
   const data::SyntheticImageDataset dataset(Shape{3, 227, 227}, 32, 8, 9);
-  const Tensor batch = dataset.Batch(0, 2);
+  // Batch 1 runs the fc layers through CSR MultiplyVector.
+  for (const std::int64_t images : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << images);
+    const Tensor batch = dataset.Batch(0, images);
 
-  const std::vector<float> pooled = Logits(net, batch);
-  const std::vector<float> repeat = Logits(net, batch);
-  std::vector<float> serial;
-  {
-    ScopedSerial serial_scope;
-    serial = Logits(net, batch);
+    const std::vector<float> pooled = Logits(net, batch);
+    const std::vector<float> repeat = Logits(net, batch);
+    std::vector<float> serial;
+    {
+      ScopedSerial serial_scope;
+      serial = Logits(net, batch);
+    }
+    ASSERT_EQ(pooled.size(), serial.size());
+    EXPECT_EQ(0, std::memcmp(pooled.data(), repeat.data(),
+                             pooled.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
+                             pooled.size() * sizeof(float)));
   }
-  ASSERT_EQ(pooled.size(), serial.size());
-  EXPECT_EQ(0, std::memcmp(pooled.data(), repeat.data(),
-                           pooled.size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
-                           pooled.size() * sizeof(float)));
 }
 
 TEST(Determinism, PrunedBsrForwardMatchesSerialExecution) {
@@ -149,20 +157,24 @@ TEST(Determinism, Int8ForwardMatchesSerialExecution) {
   }
   ASSERT_GT(int8_layers, 0) << "int8 mode did not activate any conv layer";
   const data::SyntheticImageDataset dataset(Shape{3, 227, 227}, 32, 8, 9);
-  const Tensor batch = dataset.Batch(0, 2);
+  // Batch 1 runs the fc layers through GemmInt8 at one column.
+  for (const std::int64_t images : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << images);
+    const Tensor batch = dataset.Batch(0, images);
 
-  const std::vector<float> pooled = Logits(net, batch);
-  const std::vector<float> repeat = Logits(net, batch);
-  std::vector<float> serial;
-  {
-    ScopedSerial serial_scope;
-    serial = Logits(net, batch);
+    const std::vector<float> pooled = Logits(net, batch);
+    const std::vector<float> repeat = Logits(net, batch);
+    std::vector<float> serial;
+    {
+      ScopedSerial serial_scope;
+      serial = Logits(net, batch);
+    }
+    ASSERT_EQ(pooled.size(), serial.size());
+    EXPECT_EQ(0, std::memcmp(pooled.data(), repeat.data(),
+                             pooled.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
+                             pooled.size() * sizeof(float)));
   }
-  ASSERT_EQ(pooled.size(), serial.size());
-  EXPECT_EQ(0, std::memcmp(pooled.data(), repeat.data(),
-                           pooled.size() * sizeof(float)));
-  EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
-                           pooled.size() * sizeof(float)));
 }
 
 TEST(Determinism, PrunedInt8MixedFormatForwardMatchesSerialExecution) {

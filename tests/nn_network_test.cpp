@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "common/check.h"
@@ -96,6 +98,105 @@ TEST(Network, DiamondReuseOfOneActivation) {
   Tensor in(Shape{1, 1, 2, 2}, {1.0f, 2.0f, 3.0f, 4.0f});
   const Tensor out = net.Forward(in);
   EXPECT_EQ(out.GetShape(), (Shape{1, 4, 2, 2}));
+}
+
+// --- Handing the last reader its input's storage ---------------------------
+// Network::Forward passes a single-input layer that is the last reader of
+// an intermediate that tensor's storage (Layer::ForwardInPlace); ReLU and
+// dropout then work in place. No other reader, and never the caller's
+// input, may see the change.
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.GetShape() == b.GetShape() &&
+         std::memcmp(a.Data().data(), b.Data().data(),
+                     a.Data().size_bytes()) == 0;
+}
+
+Tensor ReluOf(Tensor t) {
+  for (float& v : t.Data()) v = std::max(v, 0.0f);
+  return t;
+}
+
+/// A 1x1 conv with both signs in its output, for the handover tests.
+std::unique_ptr<ConvLayer> SignedStem() {
+  auto stem = std::make_unique<ConvLayer>(
+      "stem", ConvParams{.out_channels = 2, .kernel = 1}, 1);
+  stem->MutableWeights().Data()[0] = 1.0f;
+  stem->MutableWeights().Data()[1] = -1.0f;
+  stem->NotifyWeightsChanged();
+  return stem;
+}
+
+Tensor SignedInput() {
+  return Tensor(Shape{1, 1, 2, 2}, {1.0f, -2.0f, 3.0f, -4.0f});
+}
+
+TEST(Network, ReluSharingItsInputLeavesTheOtherReaderUnchanged) {
+  // The ReLU reads the conv output first (and copies) or last (and works
+  // in place); either way the dropout beside it sees the pre-ReLU values.
+  for (const bool relu_first : {true, false}) {
+    SCOPED_TRACE(relu_first ? "relu reads first" : "relu reads last");
+    Network net("shared", Shape{1, 2, 2});
+    net.Add(SignedStem());
+    if (relu_first) net.Add(std::make_unique<ReluLayer>("relu"), {"stem"});
+    net.Add(std::make_unique<DropoutLayer>("other"), {"stem"});
+    if (!relu_first) net.Add(std::make_unique<ReluLayer>("relu"), {"stem"});
+    net.Add(std::make_unique<ConcatLayer>("join"), {"relu", "other"});
+
+    const Tensor in = SignedInput();
+    const Tensor stem = net.LayerAt(0).Forward({&in});
+    const Tensor relu = ReluOf(stem);
+    const Tensor want = ConcatLayer("want").Forward({&relu, &stem});
+    EXPECT_TRUE(SameBits(net.Forward(in), want));
+  }
+}
+
+TEST(Network, ReluOnTheNetworkInputLeavesTheCallersTensor) {
+  Network net("input_relu", Shape{1, 2, 2});
+  net.Add(std::make_unique<ReluLayer>("relu"));
+  const Tensor in = SignedInput();
+  const Tensor before = in;
+  const Tensor out = net.Forward(in);
+  EXPECT_TRUE(SameBits(in, before));
+  EXPECT_TRUE(SameBits(out, ReluOf(before)));
+}
+
+TEST(Network, EndingInReluOrDropoutReturnsItsOutput) {
+  const Tensor in = SignedInput();
+  const Tensor stem = SignedStem()->Forward({&in});
+
+  Network relu_net("ends_in_relu", Shape{1, 2, 2});
+  relu_net.Add(SignedStem());
+  relu_net.Add(std::make_unique<ReluLayer>("relu"));
+  EXPECT_TRUE(SameBits(relu_net.Forward(in), ReluOf(stem)));
+
+  Network dropout_net("ends_in_dropout", Shape{1, 2, 2});
+  dropout_net.Add(SignedStem());
+  dropout_net.Add(std::make_unique<DropoutLayer>("drop"));
+  EXPECT_TRUE(SameBits(dropout_net.Forward(in), stem));
+
+  Network both_net("relu_then_dropout", Shape{1, 2, 2});
+  both_net.Add(SignedStem());
+  both_net.Add(std::make_unique<ReluLayer>("relu"));
+  both_net.Add(std::make_unique<DropoutLayer>("drop"));
+  EXPECT_TRUE(SameBits(both_net.Forward(in), ReluOf(stem)));
+}
+
+TEST(Network, HandoverKeepsOneTimingPerLayerInOrder) {
+  Network net("timed", Shape{1, 2, 2});
+  net.Add(SignedStem());
+  net.Add(std::make_unique<ReluLayer>("relu"));
+  net.Add(std::make_unique<DropoutLayer>("other"), {"stem"});
+  net.Add(std::make_unique<ConcatLayer>("join"), {"relu", "other"});
+  net.Add(std::make_unique<ReluLayer>("relu2"));
+  net.Add(std::make_unique<DropoutLayer>("drop"));
+  std::vector<LayerTiming> timings;
+  (void)net.Forward(SignedInput(), &timings);
+  ASSERT_EQ(timings.size(), net.LayerCount());
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    EXPECT_EQ(timings[i].name, net.LayerAt(i).Name());
+    EXPECT_EQ(timings[i].kind, net.LayerAt(i).Kind());
+  }
 }
 
 TEST(Network, FindLayer) {

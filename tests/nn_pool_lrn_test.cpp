@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "nn/concat_layer.h"
 #include "nn/lrn_layer.h"
 #include "nn/pool_layer.h"
@@ -75,6 +79,47 @@ TEST(PoolLayer, RejectsWrongKind) {
   EXPECT_THROW(PoolLayer("p", LayerKind::kReLU, {}), CheckError);
 }
 
+TEST(PoolLayer, LastWindowPastTheImageIsClipped) {
+  // Ceil mode alone gives 3 windows per axis in both cases, the last one
+  // starting past the image: at row 3 of a 3-row map (in the padding), and
+  // at row 6 of a 5-row unpadded map. Both are clipped, so 1..9 pools to
+  // [1 3; 7 9] as in Caffe, and the unpadded map keeps rows/columns 0 and 3.
+  Tensor in(Shape{1, 1, 3, 3});
+  for (std::int64_t i = 0; i < 9; ++i) in.Set(i, static_cast<float>(i + 1));
+  const Tensor padded = PoolLayer("p", LayerKind::kMaxPool,
+                                  {.kernel = 2, .stride = 2, .pad = 1})
+                            .Forward({&in});
+  ASSERT_EQ(padded.GetShape(), (Shape{1, 1, 2, 2}));
+  EXPECT_EQ(padded.At(0), 1.0f);
+  EXPECT_EQ(padded.At(1), 3.0f);
+  EXPECT_EQ(padded.At(2), 7.0f);
+  EXPECT_EQ(padded.At(3), 9.0f);
+
+  Tensor wide(Shape{1, 1, 5, 5});
+  for (std::int64_t i = 0; i < 25; ++i) wide.Set(i, static_cast<float>(i));
+  const Tensor strided =
+      PoolLayer("p", LayerKind::kMaxPool, {.kernel = 1, .stride = 3})
+          .Forward({&wide});
+  ASSERT_EQ(strided.GetShape(), (Shape{1, 1, 2, 2}));
+  EXPECT_EQ(strided.At(0), 0.0f);
+  EXPECT_EQ(strided.At(1), 3.0f);
+  EXPECT_EQ(strided.At(2), 15.0f);
+  EXPECT_EQ(strided.At(3), 18.0f);
+}
+
+TEST(PoolLayer, RejectsPadNotBelowKernel) {
+  // Caffe's CHECK_LT(pad, kernel): a window that could lie wholly in the
+  // padding has nothing to pool.
+  EXPECT_THROW(PoolLayer("p", LayerKind::kMaxPool,
+                         {.kernel = 2, .stride = 1, .pad = 2}),
+               CheckError);
+  EXPECT_THROW(PoolLayer("p", LayerKind::kAvgPool,
+                         {.kernel = 3, .stride = 2, .pad = 3}),
+               CheckError);
+  EXPECT_NO_THROW(PoolLayer("p", LayerKind::kMaxPool,
+                            {.kernel = 3, .stride = 2, .pad = 2}));
+}
+
 TEST(PoolLayer, NegativeValuesMaxPool) {
   PoolLayer pool("p", LayerKind::kMaxPool, {.kernel = 2, .stride = 2});
   Tensor in(Shape{1, 1, 2, 2}, {-5.0f, -3.0f, -9.0f, -4.0f});
@@ -107,6 +152,65 @@ TEST(LrnLayer, CrossChannelWindow) {
   EXPECT_NEAR(lrn.Forward({&in}).At(1), 2.0f / 15.0f, 1e-6f);
   // Channel 0 window = {1,2}: ss = 5, scale = 1/6.
   EXPECT_NEAR(lrn.Forward({&in}).At(0), 1.0f / 6.0f, 1e-6f);
+}
+
+/// The per-pixel LrnLayer::Forward loop that the channel-outer one
+/// replaced, kept as its bitwise oracle. This file builds with the same
+/// portable flags as lrn_layer.cpp, so both round alike.
+Tensor PerPixelLrn(const Tensor& in, const LrnParams& params) {
+  Tensor out(in.GetShape());
+  const std::int64_t batch = in.GetShape().Dim(0);
+  const std::int64_t channels = in.GetShape().Dim(1);
+  const std::int64_t plane = in.GetShape().Dim(2) * in.GetShape().Dim(3);
+  const std::int64_t half = params.local_size / 2;
+  const float alpha_over_n =
+      params.alpha / static_cast<float>(params.local_size);
+  const float* src = in.Data().data();
+  float* dst = out.Data().data();
+  for (std::int64_t b = 0; b < batch; ++b) {
+    const float* img = src + b * channels * plane;
+    float* oimg = dst + b * channels * plane;
+    for (std::int64_t p = 0; p < plane; ++p) {
+      for (std::int64_t c = 0; c < channels; ++c) {
+        const std::int64_t c0 = std::max<std::int64_t>(0, c - half);
+        const std::int64_t c1 = std::min(channels, c + half + 1);
+        float ss = 0.0f;
+        for (std::int64_t cc = c0; cc < c1; ++cc) {
+          const float v = img[cc * plane + p];
+          ss += v * v;
+        }
+        const float scale =
+            std::pow(params.k + alpha_over_n * ss, -params.beta);
+        oimg[c * plane + p] = img[c * plane + p] * scale;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LrnLayer, MatchesPerPixelLoopBitwise) {
+  struct Case {
+    Shape shape;
+    LrnParams params;
+  };
+  const Case cases[] = {
+      {Shape{3, 8, 5, 7}, {}},                      // batch 3, CaffeNet params
+      {Shape{2, 3, 5, 7}, {.local_size = 5}},       // channels < local_size
+      {Shape{3, 1, 5, 7}, {.local_size = 5}},       // a single channel
+      {Shape{1, 12, 5, 7},
+       {.local_size = 3, .alpha = 0.5f, .beta = 0.6f, .k = 2.0f}},
+  };
+  Rng rng(606);
+  for (const Case& c : cases) {
+    LrnLayer lrn("n", c.params);
+    Tensor in(c.shape);
+    in.FillGaussian(rng, 0.0f, 4.0f);
+    const Tensor got = lrn.Forward({&in});
+    const Tensor want = PerPixelLrn(in, c.params);
+    EXPECT_EQ(0, std::memcmp(got.Data().data(), want.Data().data(),
+                             got.Data().size_bytes()))
+        << c.shape.ToString() << " local_size " << c.params.local_size;
+  }
 }
 
 TEST(LrnLayer, RejectsEvenWindow) {

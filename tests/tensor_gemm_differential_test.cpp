@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -228,6 +231,36 @@ TEST(GemmZeroSkip, AllZeroRowTimesNonFiniteBDivergesByDesign) {
   for (std::size_t i : {0u, 2u, 3u}) {
     EXPECT_EQ(c_fast[i], c_ref[i]);
     EXPECT_EQ(c_fast[n + i], c_ref[n + i]);
+  }
+}
+
+// Gemv keeps several rows in flight per pass over x, and its pool chunks
+// start wherever the pool splits. Each row must still be the single-row
+// chain bit for bit, whether it lands in a group, in the tail or at a chunk
+// edge, so Gemv(1, k) on that row alone is the oracle. NaiveGemm is not:
+// GCC vectorizes and fuses its loops differently, and with -march=native it
+// already differs from Gemv in the last bits at k = 7 and k = 53.
+TEST(GemvDifferential, EveryRowMatchesTheRowAlone) {
+  constexpr std::int64_t kMaxRows = 4099;
+  for (const std::int64_t k : {1, 7, 17, 53, 1000, 9217}) {
+    Rng rng(static_cast<std::uint64_t>(k));
+    const auto a = RandomMatrix(rng, kMaxRows * k);
+    const auto x = RandomMatrix(rng, k);
+    const std::span<const float> rows(a);
+    for (const std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 4099}) {
+      std::vector<float> y(static_cast<std::size_t>(m));
+      Gemv(m, k, rows.first(static_cast<std::size_t>(m * k)), x, y);
+      for (std::int64_t i = 0; i < m; ++i) {
+        float alone = 0.0f;
+        Gemv(1, k,
+             rows.subspan(static_cast<std::size_t>(i * k),
+                          static_cast<std::size_t>(k)),
+             x, std::span<float>(&alone, 1));
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(y[static_cast<std::size_t>(i)]),
+                  std::bit_cast<std::uint32_t>(alone))
+            << "m=" << m << " k=" << k << " row " << i;
+      }
+    }
   }
 }
 

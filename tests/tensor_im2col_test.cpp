@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -89,6 +90,62 @@ TEST(Im2Col, MultiChannelBlocks) {
   // Channel 0 rows first, then channel 1.
   EXPECT_FLOAT_EQ(col[0], 1.0f);
   EXPECT_FLOAT_EQ(col[4], 10.0f);
+}
+
+// Im2Col against its per-element definition: column (oh, ow) of row
+// (c, kh, kw) holds image[c][oh*stride - pad + kh][ow*stride - pad + kw],
+// or 0 where that sample lies in the padding. The small maps put whole
+// rows and whole columns of some kernel offsets in the padding.
+TEST(Im2Col, MatchesPerElementDefinition) {
+  constexpr std::int64_t kMaps[][2] = {{1, 2}, {3, 1}, {5, 7}, {12, 13},
+                                       {23, 17}};
+  Rng rng(2024);
+  int checked = 0;
+  for (const std::int64_t stride : {1, 2, 4}) {
+    for (const std::int64_t pad : {0, 1, 2}) {
+      for (const std::int64_t kernel : {1, 3, 5, 11}) {
+        for (const auto& map : kMaps) {
+          const std::int64_t in_h = map[0];
+          const std::int64_t in_w = map[1];
+          const ConvGeometry g{.in_channels = 2, .in_h = in_h, .in_w = in_w,
+                               .kernel_h = kernel, .kernel_w = kernel,
+                               .stride = stride, .pad = pad};
+          if (in_h + 2 * pad < kernel || in_w + 2 * pad < kernel) continue;
+          std::vector<float> img(static_cast<std::size_t>(2 * in_h * in_w));
+          for (float& v : img) v = rng.NextFloat(-1.0f, 1.0f);
+          std::vector<float> col(
+              static_cast<std::size_t>(g.PatchSize() * g.OutPixels()), -9.0f);
+          Im2Col(g, img, col);
+
+          std::vector<float> want(col.size());
+          std::size_t at = 0;
+          for (std::int64_t c = 0; c < g.in_channels; ++c) {
+            for (std::int64_t kh = 0; kh < kernel; ++kh) {
+              for (std::int64_t kw = 0; kw < kernel; ++kw) {
+                for (std::int64_t oh = 0; oh < g.OutH(); ++oh) {
+                  for (std::int64_t ow = 0; ow < g.OutW(); ++ow, ++at) {
+                    const std::int64_t ih = oh * stride - pad + kh;
+                    const std::int64_t iw = ow * stride - pad + kw;
+                    const bool inside =
+                        ih >= 0 && ih < in_h && iw >= 0 && iw < in_w;
+                    want[at] = inside ? img[static_cast<std::size_t>(
+                                            (c * in_h + ih) * in_w + iw)]
+                                      : 0.0f;
+                  }
+                }
+              }
+            }
+          }
+          ASSERT_EQ(0, std::memcmp(col.data(), want.data(),
+                                   col.size() * sizeof(float)))
+              << "stride " << stride << " pad " << pad << " kernel "
+              << kernel << " map " << in_h << "x" << in_w;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
 }
 
 TEST(Im2Col, RejectsBadSizes) {
