@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # ODR/ISA-leak checker for the kernel translation units.
 #
-# gemm.cpp / sparse_kernels.cpp are built with CCPERF_KERNEL_FLAGS
-# (-march=native -funroll-loops); every other TU uses the portable flag
-# set. If a weak (vague-linkage) symbol — an inline function, template
-# instantiation, or inline variable — is emitted both by a kernel TU and
-# by a generic TU, the linker keeps ONE copy, chosen arbitrarily. That
-# either leaks AVX-512/AVX code into generic call sites (illegal
-# instruction on older hosts) or silently discards the tuned copy. Both
-# are invisible at compile time, so we police it on the built objects:
+# gemm.cpp, quant.cpp, sparse_kernels.cpp and common/crc32.cpp are built
+# with CCPERF_KERNEL_FLAGS (-march=native -funroll-loops); every other TU
+# uses the portable flag set. If a weak (vague-linkage) symbol — an inline
+# function, template instantiation, or inline variable — is emitted both
+# by a kernel TU and by a generic TU, the linker keeps ONE copy, chosen
+# arbitrarily. That either leaks AVX-512/AVX code into generic call sites
+# (illegal instruction on older hosts) or silently discards the tuned
+# copy. Both are invisible at compile time, so we police it on the built
+# objects:
 #
 #   1. No weak symbol defined in a kernel TU may also be defined in any
 #      generic TU (modulo the structural allowlist — EH scaffolding that
@@ -23,8 +24,12 @@
 # calls per file, so adding a kernel TU (even via a second call, as PR 9
 # almost did for quant.cpp) automatically extends the check. Non-kernel
 # tensor TUs (abft.cpp, corruption.cpp, ...) build with portable flags on
-# purpose: their checksum math must run identically on every host, so they
-# belong on the generic side of this check, not the kernel side.
+# purpose: their floating-point checksum sums must round identically on
+# every host, so they belong on the generic side of this check. The CRC-32
+# in common/crc32.cpp is a kernel all the same: its carry-less-multiply
+# folds and table lookups are exact integer arithmetic, so the host ISA
+# changes its speed and never its bits, and common_snapshot_test pins it
+# bitwise against a bit-at-a-time oracle.
 #
 # Usage: scripts/check_kernel_odr.sh [build-dir]   (or BUILD_DIR env)
 #        scripts/check_kernel_odr.sh --selftest

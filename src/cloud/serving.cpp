@@ -498,6 +498,13 @@ void FaultedServingEngine::Step() {
   double full_at = infinity;
   if (waiting_.size() >= static_cast<std::size_t>(batch_cap)) {
     full_at = waiting_[static_cast<std::size_t>(batch_cap) - 1].ready;
+  } else if (requeued_.empty()) {
+    // Only the trace refills the queue: the batch fills at the arrival
+    // that brings the last missing request.
+    const std::size_t last = next_arrival_ +
+                             static_cast<std::size_t>(batch_cap) -
+                             waiting_.size() - 1;
+    full_at = last < arrivals_.size() ? arrivals_[last] : infinity;
   } else {
     std::size_t missing =
         static_cast<std::size_t>(batch_cap) - waiting_.size();
@@ -573,18 +580,22 @@ void FaultedServingEngine::Step() {
 
   // Select the batch front-to-back, never taking two copies of one request
   // (siblings must ride different dispatches to buy failure independence);
-  // skipped siblings keep their queue position. With single-copy requests
-  // this degenerates to taking the first batch_cap entries.
-  std::vector<Pending> batch;
-  batch.reserve(static_cast<std::size_t>(batch_cap));
-  {
+  // skipped siblings keep their queue position. Without redundancy every
+  // request has one copy, so the batch is the queue's first batch_cap.
+  batch_.clear();
+  if (!redundancy_.Active()) {
+    const auto take = static_cast<std::ptrdiff_t>(
+        std::min(waiting_.size(), static_cast<std::size_t>(batch_cap)));
+    batch_.assign(waiting_.begin(), waiting_.begin() + take);
+    waiting_.erase(waiting_.begin(), waiting_.begin() + take);
+  } else {
     std::vector<Pending> skipped;
     while (!waiting_.empty() &&
-           batch.size() < static_cast<std::size_t>(batch_cap)) {
+           batch_.size() < static_cast<std::size_t>(batch_cap)) {
       const Pending p = waiting_.front();
       waiting_.pop_front();
       bool sibling_in_batch = false;
-      for (const Pending& b : batch) {
+      for (const Pending& b : batch_) {
         if (b.id == p.id) {
           sibling_in_batch = true;
           break;
@@ -593,16 +604,16 @@ void FaultedServingEngine::Step() {
       if (sibling_in_batch) {
         skipped.push_back(p);
       } else {
-        batch.push_back(p);
+        batch_.push_back(p);
       }
     }
     for (auto it = skipped.rbegin(); it != skipped.rend(); ++it) {
       waiting_.push_front(*it);
     }
   }
-  if (batch.empty()) return;
+  if (batch_.empty()) return;
 
-  const auto batch_size = static_cast<std::int64_t>(batch.size());
+  const auto batch_size = static_cast<std::int64_t>(batch_.size());
   double service = sim_->BatchSeconds(type, perf_, batch_size).value() *
                    timeline.SlowdownAt(dispatch_at);
   bool escaped_batch = false;
@@ -636,7 +647,7 @@ void FaultedServingEngine::Step() {
     const bool partition_loss = timeline.PartitionedAt(fail_at);
     gpu.busy += fail_at - dispatch_at;
     gpu.free_at = fail_at;
-    for (const Pending& p : batch) {
+    for (const Pending& p : batch_) {
       const auto id = static_cast<std::size_t>(p.id);
       if (done_[id] != 0) {
         // A duplicate copy died with the batch; its request already
@@ -654,7 +665,7 @@ void FaultedServingEngine::Step() {
       }
     }
   } else {
-    for (const Pending& p : batch) {
+    for (const Pending& p : batch_) {
       const auto id = static_cast<std::size_t>(p.id);
       --copies_live_[id];
       if (done_[id] == 0) {
@@ -722,39 +733,62 @@ ServingReport FaultedServingEngine::Finish() const {
 
 std::uint32_t FaultedServingEngine::Fingerprint() const {
   // CRC over every input that shapes the trajectory: restoring a snapshot
-  // into an engine built from different inputs must fail loudly.
-  SnapshotSectionWriter w;
-  w.PutF64Vector(arrivals_);
+  // into an engine built from different inputs must fail loudly. The bytes
+  // are each field's snapshot encoding, CRC'd where they lie, except that a
+  // string's u16 length saturates: the fault schedule's CSV can pass 64 KiB,
+  // and all of it counts.
+  std::uint32_t crc = 0;
+  const auto put = [&crc](const void* data, std::size_t size) {
+    crc = Crc32Update(crc, data, size);
+  };
+  const auto put_i64 = [&put](std::int64_t v) { put(&v, sizeof(v)); };
+  const auto put_f64 = [&put](double v) { put(&v, sizeof(v)); };
+  const auto put_u8 = [&put](std::uint8_t v) { put(&v, sizeof(v)); };
+  const auto put_string = [&put](const std::string& s) {
+    const auto size =
+        static_cast<std::uint16_t>(std::min<std::size_t>(s.size(), 0xFFFF));
+    put(&size, sizeof(size));
+    put(s.data(), s.size());
+  };
+  const auto trace_size = static_cast<std::uint64_t>(arrivals_.size());
+  put(&trace_size, sizeof(trace_size));
+  put(arrivals_.data(), arrivals_.size() * sizeof(double));
   for (const auto& [type_name, count] : config_.instances) {
-    w.PutString(type_name);
-    w.PutI64(count);
+    put_string(type_name);
+    put_i64(count);
   }
-  w.PutString(perf_.label);
-  w.PutF64(perf_.ref_seconds_per_image.value());
-  w.PutI64(perf_.kernel_count);
-  w.PutF64(duration_s_);
-  w.PutI64(policy_.max_batch);
-  w.PutF64(policy_.max_wait_s);
-  w.PutF64(policy_.deadline_s);
-  w.PutI64(retry_.max_retries);
-  w.PutF64(retry_.base_backoff_s);
-  w.PutF64(retry_.backoff_multiplier);
-  w.PutF64(retry_.max_backoff_s);
-  w.PutU8(inflight_ == InflightPolicy::kDrop ? 1 : 0);
-  w.PutF64(variant_accuracy_);
-  w.PutI64(redundancy_.replicas);
-  w.PutF64(redundancy_.hedge_after_s);
-  w.PutI64(redundancy_.max_hedges);
-  w.PutU8(static_cast<std::uint8_t>(sdc_.kind));
-  w.PutF64(sdc_.scrub_interval_s);
-  w.PutF64(sdc_.scrub_cost_s);
-  w.PutF64(sdc_.sample_fraction);
-  w.PutString(FaultScheduleCsv(faults_));
-  return Crc32(w.Bytes());
+  put_string(perf_.label);
+  put_f64(perf_.ref_seconds_per_image.value());
+  put_i64(perf_.kernel_count);
+  put_f64(duration_s_);
+  put_i64(policy_.max_batch);
+  put_f64(policy_.max_wait_s);
+  put_f64(policy_.deadline_s);
+  put_i64(retry_.max_retries);
+  put_f64(retry_.base_backoff_s);
+  put_f64(retry_.backoff_multiplier);
+  put_f64(retry_.max_backoff_s);
+  put_u8(inflight_ == InflightPolicy::kDrop ? 1 : 0);
+  put_f64(variant_accuracy_);
+  put_i64(redundancy_.replicas);
+  put_f64(redundancy_.hedge_after_s);
+  put_i64(redundancy_.max_hedges);
+  put_u8(static_cast<std::uint8_t>(sdc_.kind));
+  put_f64(sdc_.scrub_interval_s);
+  put_f64(sdc_.scrub_cost_s);
+  put_f64(sdc_.sample_fraction);
+  put_string(FaultScheduleCsv(faults_));
+  return crc;
 }
 
 std::string FaultedServingEngine::Checkpoint() const {
   SnapshotWriter writer(kServingSnapshotTag);
+  // Every payload below plus 1 KiB for the small sections and the framing,
+  // so the buffer never regrows: 16 bytes per GPU, 32 per queued copy, 17
+  // per request of redundancy state and 8 per latency sample.
+  writer.Reserve(1024 + 16 * gpus_.size() +
+                 32 * (waiting_.size() + requeued_.size()) +
+                 17 * arrivals_.size() + 8 * latencies_.size());
 
   SnapshotSectionWriter& meta = writer.AddSection("meta");
   meta.PutU32(fingerprint_);
@@ -810,11 +844,11 @@ std::string FaultedServingEngine::Checkpoint() const {
   // request; the count vectors reuse the I64Vector framing.
   SnapshotSectionWriter& redundancy = writer.AddSection("redundancy");
   redundancy.PutU8Vector(done_);
-  redundancy.PutI64Vector({copies_live_.begin(), copies_live_.end()});
-  redundancy.PutI64Vector({hedges_used_.begin(), hedges_used_.end()});
+  redundancy.PutI64VectorFrom32(copies_live_);
+  redundancy.PutI64VectorFrom32(hedges_used_);
 
   writer.AddSection("latencies").PutF64Vector(latencies_);
-  return writer.Serialize();
+  return std::move(writer).Serialize();
 }
 
 void FaultedServingEngine::Restore(const std::string& snapshot) {

@@ -315,6 +315,9 @@ class FaultedServingEngine {
   double watermark_ = 0.0;
   bool halted_ = false;  // fleet permanently gone or backlog exploded
   ServingReport report_;
+
+  // Scratch of Step(), reused so a dispatch allocates nothing; not state.
+  std::vector<Pending> batch_;
 };
 
 /// Non-homogeneous Poisson arrivals with a sinusoidal diurnal rate:

@@ -1,6 +1,6 @@
 #include "common/snapshot.h"
 
-#include <array>
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -16,9 +16,9 @@
 
 namespace ccperf {
 
-// The format is little-endian, and fields, vectors and the CRC's 8-byte
-// words are copied in host byte order; a big-endian host would write and
-// read snapshots no little-endian host can parse, so it must not compile.
+// The format is little-endian, and fields and vectors are copied in host
+// byte order; a big-endian host would write and read snapshots no
+// little-endian host can parse, so it must not compile.
 static_assert(std::endian::native == std::endian::little,
               "snapshot fields are copied in host byte order and the format "
               "is little-endian");
@@ -33,31 +33,12 @@ constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint64_t kMaxSectionBytes = 1ull << 31;
 constexpr std::size_t kMaxSections = 1024;
 constexpr std::size_t kMaxVectorElements = 1u << 28;
-
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-// Slicing-by-8 tables: tables[0] is the byte-at-a-time table, and
-// tables[k][b] is the CRC of byte b followed by k zero bytes, so one 8-byte
-// word folds in with eight independent lookups.
-constexpr CrcTables BuildCrcTables() {
-  CrcTables tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    tables[0][i] = c;
-  }
-  for (std::size_t k = 1; k < tables.size(); ++k) {
-    for (std::size_t i = 0; i < 256; ++i) {
-      const std::uint32_t c = tables[k - 1][i];
-      tables[k][i] = (c >> 8) ^ tables[0][c & 0xFFu];
-    }
-  }
-  return tables;
-}
-
-constexpr CrcTables kCrcTables = BuildCrcTables();
+// Header fields the writer patches once the sections are known: the section
+// count and the CRC over version, tag and count.
+constexpr std::size_t kHeaderFieldsAt = sizeof(kMagic);
+constexpr std::size_t kSectionCountAt =
+    kHeaderFieldsAt + 2 * sizeof(std::uint32_t);
+constexpr std::size_t kHeaderCrcAt = kSectionCountAt + sizeof(std::uint32_t);
 
 template <typename T>
 void AppendPod(std::string& out, T v) {
@@ -91,35 +72,6 @@ void FsyncParentDir(const std::string& path) {
 #endif
 
 }  // namespace
-
-std::uint32_t Crc32Update(std::uint32_t crc, const void* data,
-                          std::size_t size) {
-  const CrcTables& t = kCrcTables;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  crc ^= 0xFFFFFFFFu;
-  for (; size >= 8; bytes += 8, size -= 8) {
-    std::uint32_t lo;
-    std::uint32_t hi;
-    std::memcpy(&lo, bytes, sizeof(lo));
-    std::memcpy(&hi, bytes + 4, sizeof(hi));
-    lo ^= crc;
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-  }
-  for (; size > 0; ++bytes, --size) {
-    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t Crc32(const void* data, std::size_t size) {
-  return Crc32Update(0, data, size);
-}
-
-std::uint32_t Crc32(const std::string& bytes) {
-  return Crc32(bytes.data(), bytes.size());
-}
 
 // --- writer ------------------------------------------------------------------
 
@@ -162,55 +114,86 @@ void SnapshotSectionWriter::PutI64Vector(
   PutVector(v);
 }
 
+void SnapshotSectionWriter::PutI64VectorFrom32(
+    const std::vector<std::int32_t>& v) {
+  PutPod(static_cast<std::uint64_t>(v.size()));
+  // Widen a cache-resident block at a time, so the buffer is written once.
+  std::int64_t block[512];
+  for (std::size_t at = 0; at < v.size(); at += std::size(block)) {
+    const std::size_t n = std::min(v.size() - at, std::size(block));
+    std::copy_n(v.begin() + static_cast<std::ptrdiff_t>(at), n, block);
+    bytes_.append(reinterpret_cast<const char*>(block),
+                  n * sizeof(std::int64_t));
+  }
+}
+
 void SnapshotSectionWriter::PutU8Vector(const std::vector<std::uint8_t>& v) {
   PutVector(v);
 }
 
-SnapshotWriter::SnapshotWriter(std::uint32_t app_tag) : app_tag_(app_tag) {}
+SnapshotWriter::SnapshotWriter(std::uint32_t app_tag) {
+  std::string& out = out_.bytes_;
+  out.append(kMagic, sizeof(kMagic));
+  AppendPod<std::uint32_t>(out, kFormatVersion);
+  AppendPod<std::uint32_t>(out, app_tag);
+  AppendPod<std::uint32_t>(out, 0);  // section count, patched by Serialize
+  AppendPod<std::uint32_t>(out, 0);  // header CRC, patched by Serialize
+}
+
+void SnapshotWriter::Reserve(std::size_t bytes) {
+  out_.bytes_.reserve(bytes);
+}
 
 SnapshotSectionWriter& SnapshotWriter::AddSection(const std::string& name) {
   CCPERF_CHECK(!name.empty() && name.size() < (1u << 16),
                "invalid snapshot section name");
-  for (const auto& [existing, _] : sections_) {
+  for (const std::string& existing : names_) {
     CCPERF_CHECK(existing != name, "duplicate snapshot section '", name, "'");
   }
-  sections_.emplace_back(name, SnapshotSectionWriter{});
-  return sections_.back().second;
+  CloseSection();
+  names_.push_back(name);
+  std::string& out = out_.bytes_;
+  frame_at_ = out.size();
+  AppendPod<std::uint16_t>(out, static_cast<std::uint16_t>(name.size()));
+  out.append(name);
+  AppendPod<std::uint64_t>(out, 0);  // payload size, patched on close
+  AppendPod<std::uint32_t>(out, 0);  // section CRC, patched on close
+  payload_at_ = out.size();
+  return out_;
 }
 
-std::string SnapshotWriter::Serialize() const {
-  std::size_t size = sizeof(kMagic) + 4 * sizeof(std::uint32_t) +
-                     sizeof(kFooter);
-  for (const auto& [name, section] : sections_) {
-    size += sizeof(std::uint16_t) + name.size() + sizeof(std::uint64_t) +
-            sizeof(std::uint32_t) + section.Bytes().size();
-  }
-  std::string out;
-  out.reserve(size);
-  out.append(kMagic, sizeof(kMagic));
-  const std::size_t header_start = out.size();
-  AppendPod<std::uint32_t>(out, kFormatVersion);
-  AppendPod<std::uint32_t>(out, app_tag_);
-  AppendPod<std::uint32_t>(out, static_cast<std::uint32_t>(sections_.size()));
-  AppendPod<std::uint32_t>(
-      out, Crc32(out.data() + header_start, out.size() - header_start));
-  for (const auto& [name, section] : sections_) {
-    // The CRC covers the section's frame fields (name length, name,
-    // payload size) as well as the payload, so a flipped bit anywhere in
-    // the section is caught, not just inside the payload.
-    const std::string& payload = section.Bytes();
-    const std::size_t frame_start = out.size();
-    AppendPod<std::uint16_t>(out, static_cast<std::uint16_t>(name.size()));
-    out.append(name);
-    AppendPod<std::uint64_t>(out, static_cast<std::uint64_t>(payload.size()));
-    const std::uint32_t frame_crc =
-        Crc32(out.data() + frame_start, out.size() - frame_start);
-    AppendPod<std::uint32_t>(
-        out, Crc32Update(frame_crc, payload.data(), payload.size()));
-    out.append(payload);
-  }
+void SnapshotWriter::CloseSection() {
+  if (names_.empty()) return;  // no section opened yet
+  std::string& out = out_.bytes_;
+  const auto payload_size =
+      static_cast<std::uint64_t>(out.size() - payload_at_);
+  const std::size_t crc_at = payload_at_ - sizeof(std::uint32_t);
+  const std::size_t size_at = crc_at - sizeof(std::uint64_t);
+  std::memcpy(out.data() + size_at, &payload_size, sizeof(payload_size));
+  // The CRC covers the section's frame fields (name length, name, payload
+  // size) as well as the payload, so a flipped bit anywhere in the section
+  // is caught, not just inside the payload.
+  const std::uint32_t frame_crc =
+      Crc32(out.data() + frame_at_, crc_at - frame_at_);
+  const std::uint32_t section_crc = Crc32Update(
+      frame_crc, out.data() + payload_at_, out.size() - payload_at_);
+  std::memcpy(out.data() + crc_at, &section_crc, sizeof(section_crc));
+}
+
+std::string SnapshotWriter::Serialize() && {
+  CloseSection();
+  std::string& out = out_.bytes_;
+  const auto count = static_cast<std::uint32_t>(names_.size());
+  std::memcpy(out.data() + kSectionCountAt, &count, sizeof(count));
+  const std::uint32_t header_crc =
+      Crc32(out.data() + kHeaderFieldsAt, kHeaderCrcAt - kHeaderFieldsAt);
+  std::memcpy(out.data() + kHeaderCrcAt, &header_crc, sizeof(header_crc));
   out.append(kFooter, sizeof(kFooter));
-  return out;
+  return std::move(out);
+}
+
+std::string SnapshotWriter::Serialize() const& {
+  return SnapshotWriter(*this).Serialize();
 }
 
 void WriteSnapshotFileAtomic(const std::string& path,

@@ -17,6 +17,13 @@
 // and per-section CRCs and throws CheckError on any violation — a corrupted
 // or truncated snapshot can never restore garbage state.
 //
+// SnapshotWriter builds the container in one buffer, in wire order: each
+// section's frame goes out with placeholder size and CRC, which are patched
+// when the next AddSection or Serialize closes it, so every byte is written
+// once. Hence the one contract on writers: the SnapshotSectionWriter& that
+// AddSection returns writes to the open section, so it is valid only until
+// the next AddSection (puts through it after that land in the new one).
+//
 // WriteSnapshotFileAtomic writes to "<path>.tmp" and renames over <path>,
 // so a crash mid-checkpoint leaves the previous good snapshot intact.
 #pragma once
@@ -28,7 +35,9 @@
 
 namespace ccperf {
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `size` bytes.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `size` bytes. A kernel TU
+/// (common/crc32.cpp) folds long inputs by carry-less multiply where the
+/// ISA has it; every path returns the same bits.
 std::uint32_t Crc32(const void* data, std::size_t size);
 std::uint32_t Crc32(const std::string& bytes);
 /// Extends `crc`, the CRC-32 of some bytes, to the CRC-32 of those bytes
@@ -45,7 +54,8 @@ std::uint32_t Crc32Update(std::uint32_t crc, const void* data,
 /// *contents*; that stays with the app-level Restore path.
 [[nodiscard]] bool SnapshotIntact(const std::string& bytes);
 
-/// Appends typed values to one section's payload.
+/// Appends typed values to the open section of a SnapshotWriter; obtained
+/// only from SnapshotWriter::AddSection, and valid until the next one.
 class SnapshotSectionWriter {
  public:
   void PutU8(std::uint8_t v) { PutPod(v); }
@@ -60,35 +70,51 @@ class SnapshotSectionWriter {
   // one append.
   void PutF64Vector(const std::vector<double>& v);
   void PutI64Vector(const std::vector<std::int64_t>& v);
+  /// The bytes of PutI64Vector of `v` widened to int64, with no int64 copy
+  /// of the vector.
+  void PutI64VectorFrom32(const std::vector<std::int32_t>& v);
   void PutU8Vector(const std::vector<std::uint8_t>& v);
 
-  [[nodiscard]] const std::string& Bytes() const { return bytes_; }
-
  private:
+  friend class SnapshotWriter;
+  SnapshotSectionWriter() = default;
+
   template <typename T>
   void PutPod(T v);
   template <typename T>
   void PutVector(const std::vector<T>& v);
 
-  std::string bytes_;
+  std::string bytes_;  // the whole container so far
 };
 
-/// Accumulates named sections and serializes the framed container.
+/// Builds the framed container, one section after another.
 class SnapshotWriter {
  public:
   /// `app_tag` names the snapshot's producer (e.g. 'FSRV'); readers reject
   /// snapshots written by a different subsystem.
   explicit SnapshotWriter(std::uint32_t app_tag);
 
-  /// Start a new section; names must be unique within one snapshot.
+  /// Room for `bytes` of container, so a writer that knows its size never
+  /// regrows its buffer.
+  void Reserve(std::size_t bytes);
+
+  /// Closes the open section and starts a new one; names must be unique
+  /// within one snapshot. The reference is valid until the next AddSection.
   SnapshotSectionWriter& AddSection(const std::string& name);
 
-  /// Serialize the container (header + CRC'd sections + footer).
-  [[nodiscard]] std::string Serialize() const;
+  /// The container (header + CRC'd sections + footer). The rvalue overload
+  /// consumes the writer and returns its buffer; the const one serializes
+  /// a copy.
+  [[nodiscard]] std::string Serialize() &&;
+  [[nodiscard]] std::string Serialize() const&;
 
  private:
-  std::uint32_t app_tag_ = 0;
-  std::vector<std::pair<std::string, SnapshotSectionWriter>> sections_;
+  void CloseSection();
+
+  SnapshotSectionWriter out_;
+  std::vector<std::string> names_;
+  std::size_t frame_at_ = 0;    // open section's frame offset in out_
+  std::size_t payload_at_ = 0;  // ... and its payload's
 };
 
 /// Atomically persist a snapshot: write "<path>.tmp", flush + fsync it,

@@ -175,6 +175,135 @@ TEST_F(CheckpointTest, MidRunSnapshotBytesArePinned) {
   EXPECT_EQ(Crc32(snapshot), 0x5F8C400Cu);
 }
 
+/// CRC-32 chained over the raw bits of every ServingReport field, in
+/// declaration order (field by field, so struct padding never enters).
+std::uint32_t ReportCrc(const ServingReport& r) {
+  std::uint32_t crc = 0;
+  const auto put = [&crc](const auto& field) {
+    crc = Crc32Update(crc, &field, sizeof(field));
+  };
+  put(r.requests);
+  put(r.duration_s);
+  put(r.mean_latency_s);
+  put(r.p50_latency_s);
+  put(r.p95_latency_s);
+  put(r.p99_latency_s);
+  put(r.max_queue);
+  put(r.utilization);
+  put(r.cost_per_hour_usd);
+  put(r.stable);
+  put(r.completed);
+  put(r.dropped_deadline);
+  put(r.dropped_failed);
+  put(r.retries);
+  put(r.deadline_misses);
+  put(r.goodput_per_s);
+  put(r.deadline_miss_rate);
+  put(r.accuracy_weighted_goodput);
+  put(r.hedges);
+  put(r.duplicate_completions);
+  put(r.discarded_copies);
+  put(r.duplicate_service_s);
+  put(r.corrupted_batches);
+  put(r.sdc_detected);
+  put(r.sdc_escaped);
+  put(r.sdc_escaped_requests);
+  put(r.delivered_accuracy_weighted_goodput);
+  return crc;
+}
+
+// Replicas and hedges: the redundancy section then holds live-copy and
+// hedge counts above 1, which the single-copy pin above never encodes.
+TEST_F(CheckpointTest, RedundantMidRunSnapshotBytesArePinned) {
+  const double duration = 90.0;
+  const auto trace = PoissonTrace(20.0, duration, 77);
+  const FaultSchedule faults = CrashStorm(2, duration, 13);
+  const ServingPolicy policy{
+      .max_batch = 16, .max_wait_s = 0.02, .deadline_s = 1.5};
+  const RetryPolicy retry{.max_retries = 4, .base_backoff_s = 0.02};
+  const RedundancyPolicy redundancy{
+      .replicas = 2, .hedge_after_s = 0.01, .max_hedges = 2};
+  FaultedServingEngine engine(serving_, Fleet(2), perf_, trace, duration,
+                              policy, retry, faults, InflightPolicy::kRequeue,
+                              1.0, redundancy);
+  while (!engine.Done() && engine.Watermark() < duration / 2) engine.Step();
+  const std::string snapshot = engine.Checkpoint();
+
+  const std::uint32_t serving_tag = 0x46535256u;  // 'FSRV'
+  SnapshotSectionReader section =
+      SnapshotReader::Parse(snapshot, serving_tag).Section("redundancy");
+  (void)section.TakeU8Vector();
+  const std::vector<std::int64_t> live = section.TakeI64Vector();
+  const std::vector<std::int64_t> hedges = section.TakeI64Vector();
+  ASSERT_GT(*std::max_element(live.begin(), live.end()), 1);
+  ASSERT_GT(*std::max_element(hedges.begin(), hedges.end()), 1);
+
+  EXPECT_EQ(snapshot.size(), 40155u);
+  EXPECT_EQ(Crc32(snapshot), 0x534D4DECu);
+}
+
+// Every report field of SimulateFaulted, bit for bit, with and without
+// redundancy, on a quiet fleet and in a crash storm that retries and
+// drops past deadlines. Batches of 4 within 0.2 s at 20 requests/s: some
+// dispatches wait out max_wait_s, others go when the trace fills them.
+TEST_F(CheckpointTest, FaultedReportBitsArePinned) {
+  const double duration = 90.0;
+  const auto trace = PoissonTrace(20.0, duration, 77);
+  const ServingPolicy policy{
+      .max_batch = 4, .max_wait_s = 0.2, .deadline_s = 1.5};
+  const RetryPolicy retry{.max_retries = 4, .base_backoff_s = 0.02};
+  const RedundancyPolicy redundant{
+      .replicas = 2, .hedge_after_s = 0.01, .max_hedges = 2};
+  const FaultSchedule storm = CrashStorm(2, duration, 13);
+  struct Case {
+    RedundancyPolicy redundancy;
+    const FaultSchedule* faults;
+    std::uint32_t crc;
+  };
+  const FaultSchedule quiet;
+  const Case cases[] = {{{}, &quiet, 0x121AE176u},
+                        {{}, &storm, 0xA475A1F5u},
+                        {redundant, &quiet, 0xEC84DEF1u},
+                        {redundant, &storm, 0x2788190Du}};
+  for (const Case& c : cases) {
+    const ServingReport report = serving_.SimulateFaulted(
+        Fleet(2), perf_, trace, duration, policy, retry, *c.faults,
+        InflightPolicy::kRequeue, 1.0, c.redundancy);
+    if (c.faults == &storm) {
+      ASSERT_GT(report.retries, 0);
+      ASSERT_GT(report.dropped_deadline, 0);
+    }
+    EXPECT_EQ(ReportCrc(report), c.crc)
+        << "replicas " << c.redundancy.replicas << ", "
+        << c.faults->events.size() << " fault events";
+  }
+}
+
+// Every snapshot a checkpointed run keeps, in order, under the batching
+// policy of the report pins above.
+TEST_F(CheckpointTest, CheckpointedHistoryBytesArePinned) {
+  const double duration = 90.0;
+  const auto trace = PoissonTrace(20.0, duration, 77);
+  const ServingPolicy policy{
+      .max_batch = 4, .max_wait_s = 0.2, .deadline_s = 1.5};
+  const RetryPolicy retry{.max_retries = 4, .base_backoff_s = 0.02};
+  CheckpointStats stats;
+  stats.keep_history = true;
+  (void)serving_.SimulateFaultedCheckpointed(
+      Fleet(2), perf_, trace, duration, policy, retry,
+      CrashStorm(2, duration, 13), {.interval_s = 10.0}, &stats);
+  ASSERT_EQ(stats.history.size(), 8u);
+  std::uint32_t crc = 0;
+  std::size_t bytes = 0;
+  for (const auto& [watermark, snapshot] : stats.history) {
+    crc = Crc32Update(crc, &watermark, sizeof(watermark));
+    crc = Crc32Update(crc, snapshot.data(), snapshot.size());
+    bytes += snapshot.size();
+  }
+  EXPECT_EQ(bytes, 301560u);
+  EXPECT_EQ(crc, 0x3E884DD4u);
+}
+
 TEST_F(CheckpointTest, Int8VariantResumesBitwiseIdenticallyMidRun) {
   // Quantized variants (int8-enabled ComputeVariantPerf) are first-class
   // serving citizens: kill a mid-run engine serving an int8 variant at
@@ -219,6 +348,56 @@ TEST_F(CheckpointTest, Int8VariantResumesBitwiseIdenticallyMidRun) {
                                       duration, policy, retry, faults);
     EXPECT_THROW(float_engine.Restore(snapshot), CheckError);
   }
+}
+
+// 72 hours of the serving benchmark's fault model on 8 instances write a
+// schedule CSV past 64 KiB. The run fingerprints all of it: it runs,
+// round-trips a snapshot, and an edit past the CSV's first 64 KiB is
+// another run.
+TEST_F(CheckpointTest, FaultScheduleCsvPast64KiBIsFingerprintedWhole) {
+  const double duration = 72 * 3600.0;
+  const FaultModel model{.crash_rate = 2.0,
+                         .restart_s = 120.0,
+                         .slowdown_rate = 1.0,
+                         .slowdown_s = 60.0,
+                         .slowdown_factor = 2.0,
+                         .sdc_rate = 0.5,
+                         .sdc_window_s = 120.0};
+  Rng rng(72);
+  const FaultSchedule faults = GenerateFaultSchedule(model, 8, duration, rng);
+  const std::string csv = FaultScheduleCsv(faults);
+  ASSERT_GT(csv.size(), std::size_t{1} << 16);
+  ResourceConfig fleet;
+  fleet.Add("g3.4xlarge", 8);
+  const auto trace = PoissonTrace(50.0, 60.0, 3);
+  const ServingPolicy policy{
+      .max_batch = 16, .max_wait_s = 0.02, .deadline_s = 1.5};
+
+  const ServingReport reference = serving_.SimulateFaulted(
+      fleet, perf_, trace, duration, policy, {}, faults);
+  EXPECT_EQ(reference.completed + reference.dropped_deadline +
+                reference.dropped_failed,
+            reference.requests);
+  FaultedServingEngine victim(serving_, fleet, perf_, trace, duration, policy,
+                              {}, faults);
+  while (!victim.Done() && victim.Watermark() < 30.0) victim.Step();
+  const std::string snapshot = victim.Checkpoint();
+  FaultedServingEngine resumed(serving_, fleet, perf_, trace, duration,
+                               policy, {}, faults);
+  resumed.Restore(snapshot);
+  while (!resumed.Done()) resumed.Step();
+  ExpectReportsIdentical(resumed.Finish(), reference);
+
+  FaultSchedule edited = faults;
+  edited.events.back().duration_s += 1.0;
+  const std::string edited_csv = FaultScheduleCsv(edited);
+  ASSERT_NE(edited_csv, csv);
+  ASSERT_EQ(edited_csv.compare(0, std::size_t{1} << 16, csv, 0,
+                               std::size_t{1} << 16),
+            0);
+  FaultedServingEngine other(serving_, fleet, perf_, trace, duration, policy,
+                             {}, edited);
+  EXPECT_THROW(other.Restore(snapshot), CheckError);
 }
 
 TEST_F(CheckpointTest, RestoreRejectsMismatchedInputsAndForeignSnapshots) {

@@ -83,20 +83,24 @@ TEST(Crc32Test, MatchesKnownVectors) {
 }
 
 TEST(Crc32Test, SlicedMatchesBitwiseAtEveryLengthAndAlignment) {
-  // Lengths up to 256 cover every head/word/tail split of the 8-byte
-  // loop; start offsets 0..7 cover every alignment of its word loads.
-  const std::vector<unsigned char> buffer = SeededBuffer(256 + 8);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 256; ++length) {
+  // Lengths up to 1024 cover every head/word/tail split of the 8-byte loop
+  // and every split of the 64-byte fold threshold and its 16-byte tail;
+  // start offsets 0..15 cover every alignment of both loops' loads.
+  const std::vector<unsigned char> buffer = SeededBuffer(1024 + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
       const unsigned char* start = buffer.data() + offset;
       ASSERT_EQ(Crc32(start, length), BitwiseCrc32(start, length))
           << "offset " << offset << ", length " << length;
     }
   }
+  const std::vector<unsigned char> large = SeededBuffer((1u << 20) + 13);
+  EXPECT_EQ(Crc32(large.data(), large.size()),
+            BitwiseCrc32(large.data(), large.size()));
 }
 
 TEST(Crc32Test, UpdateChainsAtEverySplitPoint) {
-  const std::vector<unsigned char> buffer = SeededBuffer(300);
+  const std::vector<unsigned char> buffer = SeededBuffer(1000);
   const std::uint32_t whole = Crc32(buffer.data(), buffer.size());
   EXPECT_EQ(whole, BitwiseCrc32(buffer.data(), buffer.size()));
   EXPECT_EQ(Crc32Update(0, buffer.data(), buffer.size()), whole);
@@ -214,6 +218,28 @@ TEST(SnapshotTest, EveryKindEncodesToPinnedBytes) {
       EXPECT_EQ(ints[k], static_cast<std::int64_t>(gen.Next()));
       EXPECT_EQ(bytes_back[k], static_cast<std::uint8_t>(gen.Next()));
     }
+  }
+}
+
+TEST(SnapshotTest, WideningPutEncodesLikeTheWidenedVector) {
+  // Lengths 0 and 1, the int32 extremes, and a run longer than one
+  // widening block.
+  std::vector<std::int32_t> long_run(1500);
+  SplitMix gen(32);
+  for (std::int32_t& v : long_run) v = static_cast<std::int32_t>(gen.Next());
+  const std::vector<std::vector<std::int32_t>> inputs = {
+      {},
+      {-7},
+      {std::numeric_limits<std::int32_t>::min(),
+       std::numeric_limits<std::int32_t>::max(), 0, 1, -1},
+      long_run};
+  for (const std::vector<std::int32_t>& narrow : inputs) {
+    SnapshotWriter widened(kTag);
+    widened.AddSection("v").PutI64VectorFrom32(narrow);
+    SnapshotWriter wide(kTag);
+    wide.AddSection("v").PutI64Vector({narrow.begin(), narrow.end()});
+    EXPECT_EQ(std::move(widened).Serialize(), std::move(wide).Serialize())
+        << narrow.size() << " elements";
   }
 }
 

@@ -3,8 +3,12 @@
 // agrees with densities measured from the actual network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "cloud/density.h"
 #include "cloud/simulator.h"
+#include "common/threading.h"
 #include "core/accuracy_model.h"
 #include "core/empirical_accuracy.h"
 #include "core/explorer.h"
@@ -58,15 +62,28 @@ TEST(EndToEnd, RealPruningSpeedsUpScaledInference) {
 
   const data::SyntheticImageDataset dataset(Shape{3, 227, 227}, 50, 8, 2);
   const Tensor batch = dataset.Batch(0, 2);
-  std::vector<nn::LayerTiming> base_times, pruned_times;
-  (void)base.Forward(batch, &base_times);
-  (void)pruned.Forward(batch, &pruned_times);
-  double base_conv = 0.0, pruned_conv = 0.0;
-  for (const auto& t : base_times) {
-    if (t.kind == nn::LayerKind::kConvolution) base_conv += t.seconds;
-  }
-  for (const auto& t : pruned_times) {
-    if (t.kind == nn::LayerKind::kConvolution) pruned_conv += t.seconds;
+  // Summed conv time of each network's fastest of five passes, after one
+  // warm-up pass each. The passes alternate between the networks and run
+  // on the calling thread: a cold pass also times first-touch page faults,
+  // and pool hand-offs and host steal move a pass by more than the ~10%
+  // this pruning saves.
+  const auto conv_seconds = [&batch](const nn::Network& net) {
+    std::vector<nn::LayerTiming> times;
+    (void)net.Forward(batch, &times);
+    double conv = 0.0;
+    for (const auto& t : times) {
+      if (t.kind == nn::LayerKind::kConvolution) conv += t.seconds;
+    }
+    return conv;
+  };
+  const ScopedSerial serial;
+  (void)base.Forward(batch);
+  (void)pruned.Forward(batch);
+  double base_conv = std::numeric_limits<double>::infinity();
+  double pruned_conv = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < 5; ++pass) {
+    base_conv = std::min(base_conv, conv_seconds(base));
+    pruned_conv = std::min(pruned_conv, conv_seconds(pruned));
   }
   EXPECT_LT(pruned_conv, base_conv);
 }
