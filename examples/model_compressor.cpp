@@ -1,11 +1,15 @@
 // Compress a model end-to-end: parse a model description (or use the
 // built-in CaffeNet at reduced scale), prune + quantize + weight-share it,
-// report memory/accuracy, and save the compressed variant to disk.
+// report memory/accuracy, and save the compressed variant to disk. The
+// reloaded file must compute the saved network's outputs bit for bit;
+// otherwise the program exits non-zero.
 //
 // Run: ./model_compressor [model.txt] [prune_ratio] [bits] [clusters]
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 
+#include "common/rng.h"
 #include "common/table.h"
 #include "core/empirical_accuracy.h"
 #include "data/synthetic_dataset.h"
@@ -77,8 +81,24 @@ int main(int argc, char** argv) {
   const std::string out_path = "compressed_" + base.Name() + ".ccpf";
   nn::SaveNetworkToFile(net, out_path);
   const nn::Network reloaded = nn::LoadNetworkFromFile(out_path);
+  Tensor batch(Shape{4, net.InputShape().Dim(0), net.InputShape().Dim(1),
+                     net.InputShape().Dim(2)});
+  Rng rng(7);
+  batch.FillGaussian(rng, 0.0f, 1.0f);
+  const Tensor saved_out = net.Forward(batch);
+  const Tensor reloaded_out = reloaded.Forward(batch);
+  const bool same =
+      saved_out.GetShape() == reloaded_out.GetShape() &&
+      std::memcmp(saved_out.Data().data(), reloaded_out.Data().data(),
+                  saved_out.Data().size_bytes()) == 0;
   std::cout << "\nsaved compressed model to " << out_path << " ("
-            << reloaded.ParameterCount() / 1e6
-            << " M parameter slots, reload verified)\n";
+            << reloaded.ParameterCount() / 1e6 << " M parameter slots)\n";
+  if (!same) {
+    std::cerr << "reload check FAILED: the reloaded model's outputs differ "
+                 "from the saved model's\n";
+    return 1;
+  }
+  std::cout << "reload verified: a batch of " << batch.GetShape().Dim(0)
+            << " gives bitwise-identical outputs\n";
   return 0;
 }

@@ -40,6 +40,13 @@ constexpr std::size_t kSectionCountAt =
     kHeaderFieldsAt + 2 * sizeof(std::uint32_t);
 constexpr std::size_t kHeaderCrcAt = kSectionCountAt + sizeof(std::uint32_t);
 
+// The writer refuses a vector the reader would reject.
+void CheckVectorFits(std::size_t count) {
+  CCPERF_CHECK(count <= kMaxVectorElements, "snapshot vector of ", count,
+               " elements exceeds the container's limit of ",
+               kMaxVectorElements);
+}
+
 template <typename T>
 void AppendPod(std::string& out, T v) {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -98,24 +105,35 @@ void SnapshotSectionWriter::PutString(const std::string& s) {
   bytes_.append(s);
 }
 
+void SnapshotSectionWriter::PutText(std::string_view s) {
+  PutPod(static_cast<std::uint64_t>(s.size()));
+  bytes_.append(s);
+}
+
 template <typename T>
-void SnapshotSectionWriter::PutVector(const std::vector<T>& v) {
+void SnapshotSectionWriter::PutVector(std::span<const T> v) {
   static_assert(std::is_trivially_copyable_v<T>);
+  CheckVectorFits(v.size());
   PutPod(static_cast<std::uint64_t>(v.size()));
   bytes_.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
 }
 
-void SnapshotSectionWriter::PutF64Vector(const std::vector<double>& v) {
+void SnapshotSectionWriter::PutF32Vector(std::span<const float> v) {
   PutVector(v);
+}
+
+void SnapshotSectionWriter::PutF64Vector(const std::vector<double>& v) {
+  PutVector(std::span(v));
 }
 
 void SnapshotSectionWriter::PutI64Vector(
     const std::vector<std::int64_t>& v) {
-  PutVector(v);
+  PutVector(std::span(v));
 }
 
 void SnapshotSectionWriter::PutI64VectorFrom32(
     const std::vector<std::int32_t>& v) {
+  CheckVectorFits(v.size());
   PutPod(static_cast<std::uint64_t>(v.size()));
   // Widen a cache-resident block at a time, so the buffer is written once.
   std::int64_t block[512];
@@ -128,7 +146,7 @@ void SnapshotSectionWriter::PutI64VectorFrom32(
 }
 
 void SnapshotSectionWriter::PutU8Vector(const std::vector<std::uint8_t>& v) {
-  PutVector(v);
+  PutVector(std::span(v));
 }
 
 SnapshotWriter::SnapshotWriter(std::uint32_t app_tag) {
@@ -167,6 +185,9 @@ void SnapshotWriter::CloseSection() {
   std::string& out = out_.bytes_;
   const auto payload_size =
       static_cast<std::uint64_t>(out.size() - payload_at_);
+  CCPERF_CHECK(payload_size <= kMaxSectionBytes, "snapshot section '",
+               names_.back(), "' of ", payload_size,
+               " bytes exceeds the container's limit of ", kMaxSectionBytes);
   const std::size_t crc_at = payload_at_ - sizeof(std::uint32_t);
   const std::size_t size_at = crc_at - sizeof(std::uint64_t);
   std::memcpy(out.data() + size_at, &payload_size, sizeof(payload_size));
@@ -267,8 +288,17 @@ double SnapshotSectionReader::TakeF64() {
 std::string SnapshotSectionReader::TakeString() {
   const auto size = TakePod<std::uint16_t>();
   Require(size);
-  std::string s = payload_.substr(offset_, size);
+  std::string s(payload_.substr(offset_, size));
   offset_ += size;
+  return s;
+}
+
+std::string SnapshotSectionReader::TakeText() {
+  const auto size = TakePod<std::uint64_t>();
+  CCPERF_CHECK(size <= Remaining(), "corrupt snapshot: text of ", size,
+               " bytes overruns its section");
+  std::string s(payload_.substr(offset_, static_cast<std::size_t>(size)));
+  offset_ += static_cast<std::size_t>(size);
   return s;
 }
 
@@ -283,6 +313,10 @@ std::vector<T> SnapshotSectionReader::TakeVector() {
   if (bytes > 0) std::memcpy(v.data(), payload_.data() + offset_, bytes);
   offset_ += bytes;
   return v;
+}
+
+std::vector<float> SnapshotSectionReader::TakeF32Vector() {
+  return TakeVector<float>();
 }
 
 std::vector<double> SnapshotSectionReader::TakeF64Vector() {
@@ -361,7 +395,7 @@ SnapshotReader SnapshotReader::Parse(const std::string& bytes,
     std::uint16_t name_len = 0;
     take_pod(&name_len);
     require(name_len);
-    std::string name = bytes.substr(offset, name_len);
+    const std::string_view name(bytes.data() + offset, name_len);
     offset += name_len;
     std::uint64_t payload_size = 0;
     take_pod(&payload_size);
@@ -376,8 +410,9 @@ SnapshotReader SnapshotReader::Parse(const std::string& bytes,
     const char* payload = bytes.data() + offset;
     offset += size;
     CCPERF_CHECK(section_crc == Crc32Update(frame_crc, payload, size),
-                 "corrupt snapshot: section '", name, "' CRC mismatch");
-    reader.sections_.emplace_back(std::move(name), std::string(payload, size));
+                 "corrupt snapshot: section '", std::string(name),
+                 "' CRC mismatch");
+    reader.sections_.push_back({name, std::string_view(payload, size)});
   }
   require(sizeof(kFooter));
   CCPERF_CHECK(
@@ -390,6 +425,14 @@ SnapshotReader SnapshotReader::Parse(const std::string& bytes,
   return reader;
 }
 
+SnapshotReader SnapshotReader::Parse(std::string&& bytes,
+                                     std::uint32_t app_tag) {
+  auto kept = std::make_unique<const std::string>(std::move(bytes));
+  SnapshotReader reader = Parse(*kept, app_tag);
+  reader.kept_ = std::move(kept);
+  return reader;
+}
+
 SnapshotReader SnapshotReader::FromFile(const std::string& path,
                                         std::uint32_t app_tag) {
   std::ifstream in(path, std::ios::binary);
@@ -397,19 +440,19 @@ SnapshotReader SnapshotReader::FromFile(const std::string& path,
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   CCPERF_CHECK(!in.bad(), "read failed for snapshot file '", path, "'");
-  return Parse(bytes, app_tag);
+  return Parse(std::move(bytes), app_tag);
 }
 
 bool SnapshotReader::Has(const std::string& name) const {
-  for (const auto& [existing, _] : sections_) {
-    if (existing == name) return true;
+  for (const SectionView& section : sections_) {
+    if (section.name == name) return true;
   }
   return false;
 }
 
 SnapshotSectionReader SnapshotReader::Section(const std::string& name) const {
-  for (const auto& [existing, payload] : sections_) {
-    if (existing == name) return SnapshotSectionReader(payload);
+  for (const SectionView& section : sections_) {
+    if (section.name == name) return SnapshotSectionReader(section.payload);
   }
   CCPERF_CHECK(false, "snapshot has no section '", name, "'");
 }

@@ -24,13 +24,26 @@
 // AddSection returns writes to the open section, so it is valid only until
 // the next AddSection (puts through it after that land in the new one).
 //
+// SnapshotReader validates the bytes in place and keeps each section as a
+// view into them; a SnapshotSectionReader views one section, and only its
+// Take* calls copy bytes out. Hence the one contract on readers: a reader
+// parsed from an lvalue string views that string, which must outlive the
+// reader and every section reader taken from it; a reader parsed from an
+// rvalue string, or read by FromFile, keeps the bytes itself, so only the
+// reader must outlive its section readers.
+//
+// The writer refuses what the reader would reject (a vector of more than
+// 2^28 elements, a section of more than 2^31 bytes).
+//
 // WriteSnapshotFileAtomic writes to "<path>.tmp" and renames over <path>,
 // so a crash mid-checkpoint leaves the previous good snapshot intact.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 namespace ccperf {
@@ -65,9 +78,13 @@ class SnapshotSectionWriter {
   void PutBool(bool v) { PutPod(static_cast<std::uint8_t>(v ? 1 : 0)); }
   /// Raw bit pattern — round-trips NaN/inf/-0.0 exactly.
   void PutF64(double v);
+  /// A u16 length and the bytes; throws from 64 KiB up.
   void PutString(const std::string& s);
+  /// A u64 length and the bytes: text PutString's u16 length cannot carry.
+  void PutText(std::string_view s);
   // Vectors are a u64 element count followed by the elements, written in
   // one append.
+  void PutF32Vector(std::span<const float> v);
   void PutF64Vector(const std::vector<double>& v);
   void PutI64Vector(const std::vector<std::int64_t>& v);
   /// The bytes of PutI64Vector of `v` widened to int64, with no int64 copy
@@ -82,7 +99,7 @@ class SnapshotSectionWriter {
   template <typename T>
   void PutPod(T v);
   template <typename T>
-  void PutVector(const std::vector<T>& v);
+  void PutVector(std::span<const T> v);
 
   std::string bytes_;  // the whole container so far
 };
@@ -128,8 +145,9 @@ void WriteSnapshotFileAtomic(const std::string& path,
 /// end throws CheckError.
 class SnapshotSectionReader {
  public:
-  explicit SnapshotSectionReader(std::string payload)
-      : payload_(std::move(payload)) {}
+  /// Views `payload`, which must outlive the reader.
+  explicit SnapshotSectionReader(std::string_view payload)
+      : payload_(payload) {}
 
   std::uint8_t TakeU8() { return TakePod<std::uint8_t>(); }
   std::uint32_t TakeU32() { return TakePod<std::uint32_t>(); }
@@ -138,6 +156,8 @@ class SnapshotSectionReader {
   bool TakeBool() { return TakePod<std::uint8_t>() != 0; }
   double TakeF64();
   std::string TakeString();
+  std::string TakeText();
+  std::vector<float> TakeF32Vector();
   std::vector<double> TakeF64Vector();
   std::vector<std::int64_t> TakeI64Vector();
   std::vector<std::uint8_t> TakeU8Vector();
@@ -156,7 +176,7 @@ class SnapshotSectionReader {
   std::vector<T> TakeVector();
   void Require(std::size_t bytes) const;
 
-  std::string payload_;
+  std::string_view payload_;
   std::size_t offset_ = 0;
 };
 
@@ -164,22 +184,35 @@ class SnapshotSectionReader {
 class SnapshotReader {
  public:
   /// Throws CheckError on bad magic/version/tag, truncation, or CRC
-  /// mismatch in any section.
+  /// mismatch in any section. Copies nothing: the reader views `bytes`,
+  /// which must outlive it and its section readers.
   static SnapshotReader Parse(const std::string& bytes,
                               std::uint32_t app_tag);
-  /// Load + parse a snapshot file; missing/unreadable paths throw
-  /// CheckError naming the path.
+  /// As above, but the reader keeps `bytes`.
+  static SnapshotReader Parse(std::string&& bytes, std::uint32_t app_tag);
+  /// Load + parse a snapshot file into a reader that keeps its bytes;
+  /// missing/unreadable paths throw CheckError naming the path.
   static SnapshotReader FromFile(const std::string& path,
                                  std::uint32_t app_tag);
 
   [[nodiscard]] bool Has(const std::string& name) const;
-  /// Section payload by name; throws CheckError when absent.
+  /// Section payload by name, as a view into the parsed bytes; throws
+  /// CheckError when absent.
   [[nodiscard]] SnapshotSectionReader Section(const std::string& name) const;
   [[nodiscard]] std::size_t SectionCount() const { return sections_.size(); }
 
  private:
+  struct SectionView {
+    std::string_view name;
+    std::string_view payload;
+  };
+
   SnapshotReader() = default;
-  std::vector<std::pair<std::string, std::string>> sections_;
+  // The bytes a Parse(std::string&&) or FromFile reader keeps, on the heap
+  // so that moving the reader leaves the views valid; null after
+  // Parse(const std::string&).
+  std::unique_ptr<const std::string> kept_;
+  std::vector<SectionView> sections_;
 };
 
 }  // namespace ccperf

@@ -1,33 +1,10 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace ccperf {
-
-SampleStats Summarize(std::span<const double> values) {
-  CCPERF_CHECK(!values.empty(), "Summarize requires a non-empty sample");
-  SampleStats s;
-  s.count = values.size();
-  s.min = values.front();
-  s.max = values.front();
-  double sum = 0.0;
-  for (double v : values) {
-    s.min = std::min(s.min, v);
-    s.max = std::max(s.max, v);
-    sum += v;
-  }
-  s.mean = sum / static_cast<double>(s.count);
-  double ss = 0.0;
-  for (double v : values) {
-    const double d = v - s.mean;
-    ss += d * d;
-  }
-  s.stddev = s.count > 1 ? std::sqrt(ss / static_cast<double>(s.count)) : 0.0;
-  return s;
-}
 
 double MinOf(std::span<const double> values) {
   CCPERF_CHECK(!values.empty(), "MinOf requires a non-empty sample");
@@ -39,16 +16,6 @@ double MeanOf(std::span<const double> values) {
   double sum = 0.0;
   for (double v : values) sum += v;
   return sum / static_cast<double>(values.size());
-}
-
-double Quantile(std::span<const double> values, double q) {
-  return Quantiles(values, std::span<const double>(&q, 1)).front();
-}
-
-std::vector<double> Quantiles(std::span<const double> values,
-                              std::span<const double> ascending_qs) {
-  std::vector<double> scratch(values.begin(), values.end());
-  return SelectQuantiles(scratch, ascending_qs);
 }
 
 std::vector<double> SelectQuantiles(std::span<double> values,

@@ -53,8 +53,6 @@ std::vector<std::size_t> Frontier(std::span<const ExploredPoint> points,
         use_cost ? points[i].cost_usd.value() : points[i].seconds.value();
     accuracy[i] = use_top5 ? points[i].top5 : points[i].top1;
   }
-  // Production path: the sorted-sweep filter (ParetoFrontier in
-  // core/pareto.h remains the differential oracle, same contract).
   return SweepParetoFrontier(objective, accuracy);
 }
 }  // namespace

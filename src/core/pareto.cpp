@@ -1,8 +1,6 @@
 #include "core/pareto.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 
@@ -19,50 +17,6 @@ void CheckNoNaN(std::span<const double> values, const char* axis) {
 }
 
 }  // namespace
-
-bool Dominates(double obj_a, double acc_a, double obj_b, double acc_b) {
-  CCPERF_CHECK(!std::isnan(obj_a) && !std::isnan(acc_a) &&
-                   !std::isnan(obj_b) && !std::isnan(acc_b),
-               "NaN objective in dominance comparison");
-  const bool no_worse = obj_a <= obj_b && acc_a >= acc_b;
-  const bool strictly_better = obj_a < obj_b || acc_a > acc_b;
-  return no_worse && strictly_better;
-}
-
-std::vector<std::size_t> ParetoFrontier(std::span<const double> objective,
-                                        std::span<const double> accuracy) {
-  CCPERF_CHECK(objective.size() == accuracy.size(),
-               "objective/accuracy size mismatch");
-  CheckNoNaN(objective, "objective");
-  CheckNoNaN(accuracy, "accuracy");
-  const std::size_t n = objective.size();
-  if (n == 0) return {};
-
-  // Sort by accuracy descending; ties by objective ascending so the best
-  // representative of each accuracy level comes first, then by input index
-  // so exact duplicates deterministically keep the first occurrence.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (accuracy[a] != accuracy[b]) return accuracy[a] > accuracy[b];
-    if (objective[a] != objective[b]) return objective[a] < objective[b];
-    return a < b;
-  });
-
-  std::vector<std::size_t> frontier;
-  double best_objective = std::numeric_limits<double>::infinity();
-  double last_accuracy = std::numeric_limits<double>::infinity();
-  for (std::size_t idx : order) {
-    // Skip duplicates of an accuracy level already represented.
-    if (accuracy[idx] == last_accuracy) continue;
-    if (objective[idx] < best_objective) {
-      frontier.push_back(idx);
-      best_objective = objective[idx];
-      last_accuracy = accuracy[idx];
-    }
-  }
-  return frontier;
-}
 
 bool Dominates3(double time_a, double cost_a, double acc_a, double time_b,
                 double cost_b, double acc_b) {

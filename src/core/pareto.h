@@ -1,11 +1,12 @@
-// Pareto-frontier filter over (objective, accuracy) points: minimize the
-// objective (time or cost) while maximizing accuracy (paper §3.4, Figs 9-10).
+// Tri-objective Pareto frontier over (time, cost, accuracy) points:
+// minimize time and cost while maximizing accuracy (paper §3.4, Figs 9-10,
+// with both T' and C' binding).
 //
-// These are the straightforward reference implementations — the 2-D
-// sort-and-scan and the O(n²) all-pairs 3-D loop. Production frontiers run
-// on the O(n log n) sorted-sweep filters in core/pareto_sweep.h; the
-// functions here stay as the differential oracles those sweeps are proven
-// against, so their semantics are pinned:
+// This is the straightforward O(n²) all-pairs reference. Production
+// frontiers run on the O(n log n) sorted-sweep filters in
+// core/pareto_sweep.h; this one stays as the differential oracle the 3-D
+// sweep is proven against, and as the frontier pareto_explorer and
+// bench_ext_enumeration_scale print beside it. Its semantics are pinned:
 //   - exact duplicate points keep the FIRST occurrence in input order;
 //   - any NaN objective CHECK-fails (NaN compares false against everything,
 //     so it would never be dominated and would silently win the frontier).
@@ -17,20 +18,6 @@
 
 namespace ccperf::core {
 
-/// Indices (into the input spans) of the Pareto-optimal points: those for
-/// which no other point has accuracy >= and objective <= with at least one
-/// strict inequality. Exact duplicate points keep the lowest input index.
-/// Returned indices are sorted by descending accuracy. NaN CHECK-fails.
-/// O(n log n).
-std::vector<std::size_t> ParetoFrontier(std::span<const double> objective,
-                                        std::span<const double> accuracy);
-
-/// True iff point a (obj_a, acc_a) dominates point b: no worse in both
-/// dimensions and strictly better in at least one. An exact duplicate does
-/// NOT dominate (both inequalities tie) — duplicate collapsing is the
-/// frontier functions' keep-first rule, not dominance. NaN CHECK-fails.
-bool Dominates(double obj_a, double acc_a, double obj_b, double acc_b);
-
 /// Tri-objective frontier: minimize both `time` and `cost` while maximizing
 /// `accuracy` — the consumer's real decision space when T' and C' both
 /// bind. Indices of non-dominated points, in input order; exact duplicate
@@ -40,7 +27,8 @@ std::vector<std::size_t> ParetoFrontier3(std::span<const double> time,
                                          std::span<const double> accuracy);
 
 /// Tri-objective dominance: a no worse than b in all three, better in one.
-/// As with Dominates, an exact duplicate does not dominate and any NaN
+/// An exact duplicate does NOT dominate (every inequality ties) — duplicate
+/// collapsing is the frontier's keep-first rule, not dominance. Any NaN
 /// coordinate CHECK-fails.
 bool Dominates3(double time_a, double cost_a, double acc_a, double time_b,
                 double cost_b, double acc_b);

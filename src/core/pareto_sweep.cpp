@@ -107,9 +107,9 @@ std::vector<std::size_t> SweepParetoFrontier(std::span<const double> objective,
   const std::size_t n = objective.size();
   if (n == 0) return {};
 
-  // Accuracy descending, then objective ascending, then index ascending —
-  // the oracle's order with the duplicate representative pinned to the
-  // lowest input index.
+  // Accuracy descending, then objective ascending, then index ascending:
+  // every point that could dominate a point, or duplicate it with a lower
+  // index, comes before it.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -118,17 +118,13 @@ std::vector<std::size_t> SweepParetoFrontier(std::span<const double> objective,
     return a < b;
   });
 
+  // So a point survives iff its objective is below every earlier one's,
+  // which is the last kept point's; the first point always survives, even
+  // at an infinite objective.
   std::vector<std::size_t> frontier;
-  double best_objective = std::numeric_limits<double>::infinity();
-  double last_accuracy = std::numeric_limits<double>::infinity();
-  bool first = true;
-  for (std::size_t idx : order) {
-    if (!first && accuracy[idx] == last_accuracy) continue;
-    if (objective[idx] < best_objective) {
+  for (const std::size_t idx : order) {
+    if (frontier.empty() || objective[idx] < objective[frontier.back()]) {
       frontier.push_back(idx);
-      best_objective = objective[idx];
-      last_accuracy = accuracy[idx];
-      first = false;
     }
   }
   return frontier;

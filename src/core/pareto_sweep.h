@@ -1,8 +1,8 @@
 // Incremental / sorted-sweep Pareto-dominance filters.
 //
-// core/pareto.h keeps the straightforward filters (the 2-D sort-and-scan
-// and the O(n²) all-pairs 3-D loop) as differential oracles; this header is
-// the production engine behind every frontier in the repo:
+// core/pareto.h keeps the O(n²) all-pairs 3-D loop as a differential
+// oracle; this header is the production engine behind every frontier in
+// the repo:
 //
 //   ParetoStaircase2    — incremental 2-D frontier (minimize objective,
 //                         maximize accuracy). Points stream in arbitrary
@@ -24,8 +24,9 @@
 //                         (cost, accuracy) pairs does not cover it.
 //                         O(n log n), memory O(frontier).
 //
-// Semantics are pinned to the oracles (core_pareto_sweep_test proves
-// index-set equality on seeded clouds):
+// Semantics are pinned to all-pairs oracles (core_pareto_sweep_test proves
+// index-set equality with ParetoFrontier3 and with the 2-D oracle in
+// tests/pareto_oracle.h on seeded clouds):
 //   - duplicates keep the first occurrence in input order;
 //   - a point equal to a kept point in every objective is dropped;
 //   - any NaN objective CHECK-fails (a NaN would otherwise win every
@@ -78,11 +79,11 @@ class ParetoStaircase2 {
 };
 
 /// 2-D frontier of a point cloud: indices of the Pareto-optimal
-/// (objective minimized, accuracy maximized) points, one representative per
-/// accuracy level, sorted by descending accuracy — the same contract as
-/// ParetoFrontier (core/pareto.h), which remains the differential oracle.
-/// Exact duplicates keep the lowest input index. O(n log n); NaN
-/// CHECK-fails.
+/// (objective minimized, accuracy maximized) points — those no other point
+/// is no worse than in both coordinates and strictly better than in one —
+/// sorted by descending accuracy, so one per accuracy level. Exact
+/// duplicates keep the lowest input index. Infinities are ordinary values.
+/// O(n log n); NaN CHECK-fails.
 std::vector<std::size_t> SweepParetoFrontier(std::span<const double> objective,
                                              std::span<const double> accuracy);
 

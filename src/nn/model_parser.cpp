@@ -1,6 +1,7 @@
 #include "nn/model_parser.h"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -18,6 +19,17 @@
 namespace ccperf::nn {
 
 namespace {
+
+// Bounds on what model text can make ParseModel allocate. The text is
+// outside input (a model file, a network file's model section), so an
+// implausible extent must fail as a CheckError naming its line, not as
+// std::bad_alloc.
+constexpr std::int64_t kMaxExtent = 1'000'000'000;
+constexpr double kMaxWeightElements = 1e9;
+
+// The characters that end a token: whitespace, the comment marker and the
+// key=value and from-list separators.
+constexpr const char* kTokenBreaks = " \t\n\v\f\r#=,";
 
 /// One parsed directive line.
 struct Line {
@@ -54,11 +66,34 @@ std::int64_t GetInt(const Line& line, const std::string& key,
                  "' requires ", key, "=<int>");
     return fallback;
   }
+  std::int64_t value = 0;
   try {
-    return std::stoll(it->second);
+    value = std::stoll(it->second);
   } catch (const std::exception&) {
     CCPERF_CHECK(false, "line ", line.number, ": bad integer for ", key);
   }
+  CCPERF_CHECK(value >= 0 && value <= kMaxExtent, "line ", line.number, ": ",
+               key, "=", value, " is outside [0, ", kMaxExtent, "]");
+  return value;
+}
+
+/// Throws unless a weight matrix of `rows` (an extent GetInt bounded) by
+/// `cols` fits the bounds; `cols` is checked alone too, since the caller
+/// multiplies its int64 factors next even when `rows` is 0.
+void CheckWeightShape(const Line& line, double rows, double cols) {
+  CCPERF_CHECK(cols <= kMaxWeightElements && rows * cols <= kMaxWeightElements,
+               "line ", line.number, ": '", line.name, "' needs a ", rows,
+               " x ", cols, " weight matrix, past the limit of ",
+               kMaxWeightElements, " elements");
+}
+
+/// Throws unless `name` reads back from model text as the same one token.
+void CheckToken(const std::string& name, const char* what) {
+  CCPERF_CHECK(!name.empty() &&
+                   name.find_first_of(kTokenBreaks) == std::string::npos,
+               what, " name '", name,
+               "' is not a model-text token: it must be non-empty, with no "
+               "whitespace, '#', '=' or ','");
 }
 
 float GetFloat(const Line& line, const std::string& key, float fallback) {
@@ -153,6 +188,10 @@ Network ParseModel(const std::string& text, std::uint64_t weight_seed) {
       }
       CCPERF_CHECK(dims.size() == 3, "line ", number,
                    ": input needs exactly C H W, got ", dims.size(), " dims");
+      for (const std::int64_t d : dims) {
+        CCPERF_CHECK(d >= 0 && d <= kMaxExtent, "line ", number,
+                     ": input dim ", d, " is outside [0, ", kMaxExtent, "]");
+      }
       input_shape = Shape(std::move(dims));
       net = std::make_unique<Network>(net_name, input_shape);
       shapes["input"] = Shape{1, input_shape.Dim(0), input_shape.Dim(1),
@@ -177,9 +216,19 @@ Network ParseModel(const std::string& text, std::uint64_t weight_seed) {
       params.stride = GetInt(line, "stride", 1);
       params.pad = GetInt(line, "pad", 0);
       params.groups = GetInt(line, "groups", 1);
+      CCPERF_CHECK(params.groups >= 1, "line ", number,
+                   ": conv groups must be at least 1");
+      CheckWeightShape(line, static_cast<double>(params.out_channels),
+                       static_cast<double>(in0.Dim(1) / params.groups) *
+                           static_cast<double>(params.kernel) *
+                           static_cast<double>(params.kernel));
       layer = std::make_unique<ConvLayer>(line.name, params, in0.Dim(1));
     } else if (line.directive == "fc") {
       const std::int64_t out = GetInt(line, "out", 0, /*required=*/true);
+      CheckWeightShape(line, static_cast<double>(out),
+                       static_cast<double>(in0.Dim(1)) *
+                           static_cast<double>(in0.Dim(2)) *
+                           static_cast<double>(in0.Dim(3)));
       layer = std::make_unique<FcLayer>(
           line.name, in0.Dim(1) * in0.Dim(2) * in0.Dim(3), out);
     } else if (line.directive == "maxpool" || line.directive == "avgpool") {
@@ -194,10 +243,10 @@ Network ParseModel(const std::string& text, std::uint64_t weight_seed) {
           params);
     } else if (line.directive == "lrn") {
       LrnParams params;
-      params.local_size = GetInt(line, "size", 5);
-      params.alpha = GetFloat(line, "alpha", 1e-4f);
-      params.beta = GetFloat(line, "beta", 0.75f);
-      params.k = GetFloat(line, "k", 1.0f);
+      params.local_size = GetInt(line, "size", params.local_size);
+      params.alpha = GetFloat(line, "alpha", params.alpha);
+      params.beta = GetFloat(line, "beta", params.beta);
+      params.k = GetFloat(line, "k", params.k);
       layer = std::make_unique<LrnLayer>(line.name, params);
     } else if (line.directive == "relu") {
       layer = std::make_unique<ReluLayer>(line.name);
@@ -246,12 +295,21 @@ Network ParseModelFile(const std::string& path, std::uint64_t weight_seed) {
 }
 
 std::string FormatModel(const Network& net) {
+  CheckToken(net.Name(), "network");
+  CCPERF_CHECK(net.LayerCount() > 0, "network '", net.Name(),
+               "' has no layers, which model text cannot describe");
   std::ostringstream out;
+  // Enough digits that std::stof reads back the very same float.
+  out.precision(std::numeric_limits<float>::max_digits10);
   out << "network " << net.Name() << "\n";
   out << "input " << net.InputShape().Dim(0) << " " << net.InputShape().Dim(1)
       << " " << net.InputShape().Dim(2) << "\n";
   for (std::size_t i = 0; i < net.LayerCount(); ++i) {
     const Layer& layer = net.LayerAt(i);
+    CheckToken(layer.Name(), "layer");
+    CCPERF_CHECK(layer.Name() != "input",
+                 "a layer cannot be called 'input': model text reserves it "
+                 "for the network input");
     switch (layer.Kind()) {
       case LayerKind::kConvolution: {
         const auto& conv = static_cast<const ConvLayer&>(layer);
@@ -277,8 +335,12 @@ std::string FormatModel(const Network& net) {
         break;
       }
       case LayerKind::kLRN: {
-        const auto& lrn = static_cast<const LrnLayer&>(layer);
-        out << "lrn " << lrn.Name() << " size=" << lrn.Params().local_size;
+        const LrnParams& params = static_cast<const LrnLayer&>(layer).Params();
+        const LrnParams defaults;
+        out << "lrn " << layer.Name() << " size=" << params.local_size;
+        if (params.alpha != defaults.alpha) out << " alpha=" << params.alpha;
+        if (params.beta != defaults.beta) out << " beta=" << params.beta;
+        if (params.k != defaults.k) out << " k=" << params.k;
         break;
       }
       case LayerKind::kReLU: out << "relu " << layer.Name(); break;

@@ -16,6 +16,12 @@
 // says otherwise; conv in-channels and fc in-features are inferred from the
 // input shape. Keys: out, kernel, stride, pad, groups (conv); kernel,
 // stride, pad (pools); size, alpha, beta, k (lrn); out (fc).
+//
+// Model text is outside input, so ParseModel bounds what it allocates:
+// every integer (input dims included) lies in [0, 1e9], and every conv/fc
+// weight tensor holds at most 1e9 elements. This text is also the model
+// section of a network file (nn/serialize.h), the one place a layer kind
+// and its hyper-parameters are encoded.
 #pragma once
 
 #include <string>
@@ -33,8 +39,13 @@ namespace ccperf::nn {
 [[nodiscard]] Network ParseModelFile(const std::string& path,
                                      std::uint64_t weight_seed = 0);
 
-/// Render a network back into the DSL (topology only, no weights) — useful
-/// for inspecting programmatically-built models.
+/// Render a network back into the DSL (topology and every hyper-parameter,
+/// no weights): ParseModel of the result rebuilds the same layers, and
+/// FormatModel of that returns the same text. LRN's float parameters are
+/// written with max_digits10 digits when they differ from the defaults.
+/// Throws CheckError on a network the text cannot carry: no layers, or a
+/// network or layer name that is not one token (empty, or holding
+/// whitespace, '#', '=' or ','), or a layer called "input".
 [[nodiscard]] std::string FormatModel(const Network& net);
 
 }  // namespace ccperf::nn

@@ -1,312 +1,82 @@
 #include "nn/serialize.h"
 
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <memory>
-#include <ostream>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "nn/activation_layers.h"
-#include "nn/concat_layer.h"
-#include "nn/conv_layer.h"
-#include "nn/fc_layer.h"
-#include "nn/lrn_layer.h"
-#include "nn/pool_layer.h"
+#include "common/snapshot.h"
+#include "nn/model_parser.h"
 
 namespace ccperf::nn {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'C', 'P', 'F'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kNetworkTag = 0x43435046u;  // 'CCPF'
 
-// --- primitive writers/readers ----------------------------------------------
-
-void WriteBytes(std::ostream& out, const void* data, std::size_t size) {
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
-  CCPERF_CHECK(out.good(), "write failed during network serialization");
-}
-
-void ReadBytes(std::istream& in, void* data, std::size_t size) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  CCPERF_CHECK(in.good(), "truncated or unreadable network stream");
-}
-
-template <typename T>
-void WritePod(std::ostream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  WriteBytes(out, &value, sizeof(T));
-}
-
-template <typename T>
-T ReadPod(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value;
-  ReadBytes(in, &value, sizeof(T));
-  return value;
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
-  CCPERF_CHECK(s.size() < (1u << 16), "string too long to serialize");
-  WritePod<std::uint16_t>(out, static_cast<std::uint16_t>(s.size()));
-  WriteBytes(out, s.data(), s.size());
-}
-
-std::string ReadString(std::istream& in) {
-  const auto size = ReadPod<std::uint16_t>(in);
-  std::string s(size, '\0');
-  if (size > 0) ReadBytes(in, s.data(), size);
-  return s;
-}
-
-// Upper bound on any deserialized extent/element count: a corrupted stream
-// must fail with CheckError, not with a multi-gigabyte allocation.
-constexpr std::int64_t kMaxExtent = 1'000'000'000;
-
-std::int64_t ReadBoundedInt(std::istream& in) {
-  const auto v = ReadPod<std::int64_t>(in);
-  CCPERF_CHECK(v >= 0 && v <= kMaxExtent,
-               "corrupt network stream: implausible extent ", v);
-  return v;
-}
-
-void WriteShape(std::ostream& out, const Shape& shape) {
-  WritePod<std::uint8_t>(out, static_cast<std::uint8_t>(shape.Rank()));
-  for (auto d : shape.Dims()) WritePod<std::int64_t>(out, d);
-}
-
-Shape ReadShape(std::istream& in) {
-  const auto rank = ReadPod<std::uint8_t>(in);
-  CCPERF_CHECK(rank <= 8, "corrupt network stream: implausible rank");
-  std::vector<std::int64_t> dims(rank);
-  for (auto& d : dims) d = ReadBoundedInt(in);
-  Shape shape(std::move(dims));
-  CCPERF_CHECK(shape.NumElements() <= kMaxExtent,
-               "corrupt network stream: implausible tensor size");
-  return shape;
-}
-
-void WriteTensor(std::ostream& out, const Tensor& t) {
-  WriteShape(out, t.GetShape());
-  WriteBytes(out, t.Data().data(), t.Data().size() * sizeof(float));
-}
-
-Tensor ReadTensor(std::istream& in) {
-  Shape shape = ReadShape(in);
-  std::vector<float> data(static_cast<std::size_t>(shape.NumElements()));
-  if (!data.empty()) ReadBytes(in, data.data(), data.size() * sizeof(float));
-  return Tensor(std::move(shape), std::move(data));
-}
-
-// --- per-layer records -------------------------------------------------------
-
-void WriteLayer(std::ostream& out, const Layer& layer) {
-  WritePod<std::uint8_t>(out, static_cast<std::uint8_t>(layer.Kind()));
-  WriteString(out, layer.Name());
-  switch (layer.Kind()) {
-    case LayerKind::kConvolution: {
-      const auto& conv = static_cast<const ConvLayer&>(layer);
-      WritePod<std::int64_t>(out, conv.InChannels());
-      WritePod<std::int64_t>(out, conv.Params().out_channels);
-      WritePod<std::int64_t>(out, conv.Params().kernel);
-      WritePod<std::int64_t>(out, conv.Params().stride);
-      WritePod<std::int64_t>(out, conv.Params().pad);
-      WritePod<std::int64_t>(out, conv.Params().groups);
-      break;
-    }
-    case LayerKind::kFullyConnected: {
-      const auto& fc = static_cast<const FcLayer&>(layer);
-      WritePod<std::int64_t>(out, fc.InFeatures());
-      WritePod<std::int64_t>(out, fc.OutFeatures());
-      break;
-    }
-    case LayerKind::kMaxPool:
-    case LayerKind::kAvgPool: {
-      const auto& pool = static_cast<const PoolLayer&>(layer);
-      WritePod<std::int64_t>(out, pool.Params().kernel);
-      WritePod<std::int64_t>(out, pool.Params().stride);
-      WritePod<std::int64_t>(out, pool.Params().pad);
-      break;
-    }
-    case LayerKind::kLRN: {
-      const auto& lrn = static_cast<const LrnLayer&>(layer);
-      WritePod<std::int64_t>(out, lrn.Params().local_size);
-      WritePod<float>(out, lrn.Params().alpha);
-      WritePod<float>(out, lrn.Params().beta);
-      WritePod<float>(out, lrn.Params().k);
-      break;
-    }
-    case LayerKind::kReLU:
-    case LayerKind::kSoftmax:
-    case LayerKind::kConcat:
-    case LayerKind::kDropout:
-      break;  // no hyper-parameters
-    case LayerKind::kInput:
-      CCPERF_CHECK(false, "input pseudo-layer cannot be serialized");
+SnapshotWriter WriteNetwork(const Network& net) {
+  const std::string model = FormatModel(net);
+  SnapshotWriter writer(kNetworkTag);
+  // Room for the text, every float with its tensor's count, and the
+  // container's framing, so the buffer never regrows.
+  writer.Reserve(model.size() +
+                 sizeof(float) * static_cast<std::size_t>(net.ParameterCount()) +
+                 2 * sizeof(std::uint64_t) * net.LayerCount() + 128);
+  writer.AddSection("model").PutText(model);
+  SnapshotSectionWriter& weights = writer.AddSection("weights");
+  for (std::size_t i = 0; i < net.LayerCount(); ++i) {
+    const Layer& layer = net.LayerAt(i);
+    if (!layer.HasWeights()) continue;
+    weights.PutF32Vector(layer.Weights().Data());
+    weights.PutF32Vector(layer.Bias().Data());
   }
-  const bool has_weights = layer.HasWeights();
-  WritePod<std::uint8_t>(out, has_weights ? 1 : 0);
-  if (has_weights) {
-    WriteTensor(out, layer.Weights());
-    WriteTensor(out, layer.Bias());
-  }
+  return writer;
 }
 
-std::unique_ptr<Layer> ReadLayer(std::istream& in) {
-  const auto kind = static_cast<LayerKind>(ReadPod<std::uint8_t>(in));
-  std::string name = ReadString(in);
-  std::unique_ptr<Layer> layer;
-  switch (kind) {
-    case LayerKind::kConvolution: {
-      const auto in_channels = ReadBoundedInt(in);
-      ConvParams params;
-      params.out_channels = ReadBoundedInt(in);
-      params.kernel = ReadBoundedInt(in);
-      params.stride = ReadBoundedInt(in);
-      params.pad = ReadBoundedInt(in);
-      params.groups = ReadBoundedInt(in);
-      const double conv_elems = static_cast<double>(params.out_channels) *
-                                static_cast<double>(std::max<std::int64_t>(
-                                    1, in_channels / std::max<std::int64_t>(
-                                           1, params.groups))) *
-                                static_cast<double>(params.kernel) *
-                                static_cast<double>(params.kernel);
-      CCPERF_CHECK(conv_elems <= 1e9,
-                   "corrupt network stream: implausible conv size");
-      layer = std::make_unique<ConvLayer>(std::move(name), params, in_channels);
-      break;
-    }
-    case LayerKind::kFullyConnected: {
-      const auto in_features = ReadBoundedInt(in);
-      const auto out_features = ReadBoundedInt(in);
-      CCPERF_CHECK(static_cast<double>(in_features) *
-                           static_cast<double>(out_features) <=
-                       1e9,
-                   "corrupt network stream: implausible fc size");
-      layer = std::make_unique<FcLayer>(std::move(name), in_features,
-                                        out_features);
-      break;
-    }
-    case LayerKind::kMaxPool:
-    case LayerKind::kAvgPool: {
-      PoolParams params;
-      params.kernel = ReadBoundedInt(in);
-      params.stride = ReadBoundedInt(in);
-      params.pad = ReadBoundedInt(in);
-      layer = std::make_unique<PoolLayer>(std::move(name), kind, params);
-      break;
-    }
-    case LayerKind::kLRN: {
-      LrnParams params;
-      params.local_size = ReadBoundedInt(in);
-      params.alpha = ReadPod<float>(in);
-      params.beta = ReadPod<float>(in);
-      params.k = ReadPod<float>(in);
-      layer = std::make_unique<LrnLayer>(std::move(name), params);
-      break;
-    }
-    case LayerKind::kReLU:
-      layer = std::make_unique<ReluLayer>(std::move(name));
-      break;
-    case LayerKind::kSoftmax:
-      layer = std::make_unique<SoftmaxLayer>(std::move(name));
-      break;
-    case LayerKind::kConcat:
-      layer = std::make_unique<ConcatLayer>(std::move(name));
-      break;
-    case LayerKind::kDropout:
-      layer = std::make_unique<DropoutLayer>(std::move(name));
-      break;
-    case LayerKind::kInput:
-    default:
-      CCPERF_CHECK(false, "corrupt network stream: bad layer kind tag ",
-                   static_cast<int>(kind));
+/// `values` as a tensor of `expected`'s shape; throws unless they fit it.
+Tensor Refill(const Tensor& expected, std::vector<float> values,
+              const std::string& layer, const char* what) {
+  CCPERF_CHECK(values.size() == expected.Data().size(),
+               "corrupt network file: ", values.size(), " ", what,
+               " floats for layer '", layer, "', which has ",
+               expected.Data().size());
+  return Tensor(expected.GetShape(), std::move(values));
+}
+
+Network ReadNetwork(const SnapshotReader& reader) {
+  SnapshotSectionReader model = reader.Section("model");
+  Network net = ParseModel(model.TakeText(), /*weight_seed=*/0);
+  model.ExpectEnd();
+  SnapshotSectionReader weights = reader.Section("weights");
+  for (std::size_t i = 0; i < net.LayerCount(); ++i) {
+    Layer& layer = net.LayerAt(i);
+    if (!layer.HasWeights()) continue;
+    layer.MutableWeights() = Refill(layer.Weights(), weights.TakeF32Vector(),
+                                    layer.Name(), "weight");
+    layer.MutableBias() =
+        Refill(layer.Bias(), weights.TakeF32Vector(), layer.Name(), "bias");
+    layer.NotifyWeightsChanged();
   }
-  const bool has_weights = ReadPod<std::uint8_t>(in) != 0;
-  CCPERF_CHECK(has_weights == layer->HasWeights(),
-               "corrupt network stream: weight flag mismatch for '",
-               layer->Name(), "'");
-  if (has_weights) {
-    Tensor weights = ReadTensor(in);
-    Tensor bias = ReadTensor(in);
-    CCPERF_CHECK(weights.GetShape() == layer->Weights().GetShape(),
-                 "weight shape mismatch for '", layer->Name(), "'");
-    layer->MutableWeights() = std::move(weights);
-    layer->MutableBias() = std::move(bias);
-    layer->NotifyWeightsChanged();
-  }
-  return layer;
+  weights.ExpectEnd();
+  return net;
 }
 
 }  // namespace
 
-void SaveNetwork(const Network& net, std::ostream& out) {
-  WriteBytes(out, kMagic, sizeof(kMagic));
-  WritePod<std::uint32_t>(out, kVersion);
-  WriteString(out, net.Name());
-  WriteShape(out, net.InputShape());
-  WritePod<std::uint32_t>(out, static_cast<std::uint32_t>(net.LayerCount()));
-  for (std::size_t i = 0; i < net.LayerCount(); ++i) {
-    WriteLayer(out, net.LayerAt(i));
-    const auto& inputs = net.NodeInputs(i);
-    WritePod<std::uint8_t>(out, static_cast<std::uint8_t>(inputs.size()));
-    for (auto idx : inputs) WritePod<std::int64_t>(out, idx);
-  }
-}
-
-Network LoadNetwork(std::istream& in) {
-  char magic[4];
-  ReadBytes(in, magic, sizeof(magic));
-  CCPERF_CHECK(std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-               "not a ccperf network stream (bad magic)");
-  const auto version = ReadPod<std::uint32_t>(in);
-  CCPERF_CHECK(version == kVersion, "unsupported network format version ",
-               version);
-  std::string name = ReadString(in);
-  Shape input_shape = ReadShape(in);
-  Network net(std::move(name), std::move(input_shape));
-  const auto layer_count = ReadPod<std::uint32_t>(in);
-  std::vector<std::string> layer_names;
-  layer_names.reserve(layer_count);
-  for (std::uint32_t i = 0; i < layer_count; ++i) {
-    std::unique_ptr<Layer> layer = ReadLayer(in);
-    layer_names.push_back(layer->Name());
-    const auto input_count = ReadPod<std::uint8_t>(in);
-    std::vector<std::string> inputs;
-    inputs.reserve(input_count);
-    for (std::uint8_t k = 0; k < input_count; ++k) {
-      const auto idx = ReadPod<std::int64_t>(in);
-      if (idx < 0) {
-        inputs.emplace_back("input");
-      } else {
-        CCPERF_CHECK(idx < static_cast<std::int64_t>(i),
-                     "corrupt network stream: forward edge");
-        inputs.push_back(layer_names[static_cast<std::size_t>(idx)]);
-      }
-    }
-    net.Add(std::move(layer), std::move(inputs));
-  }
-  return net;
+std::string SaveNetwork(const Network& net) {
+  return WriteNetwork(net).Serialize();
 }
 
 void SaveNetworkToFile(const Network& net, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  CCPERF_CHECK(out.good(), "cannot open '", path, "' for writing");
-  SaveNetwork(net, out);
-  out.flush();
-  CCPERF_CHECK(out.good(), "write failed for network file '", path, "'");
+  WriteSnapshotFileAtomic(path, WriteNetwork(net));
+}
+
+Network LoadNetwork(const std::string& bytes) {
+  return ReadNetwork(SnapshotReader::Parse(bytes, kNetworkTag));
 }
 
 Network LoadNetworkFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CCPERF_CHECK(in.good(), "cannot open '", path, "' for reading");
   try {
-    Network net = LoadNetwork(in);
-    CCPERF_CHECK(!in.bad(), "read failed mid-stream");
-    return net;
+    return ReadNetwork(SnapshotReader::FromFile(path, kNetworkTag));
   } catch (const CheckError& error) {
     // Re-raise with the path: a caller batch-loading many models needs to
     // know which file is the corrupt one.

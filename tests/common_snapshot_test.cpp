@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -32,10 +33,13 @@ SnapshotWriter MakeSample() {
   meta.PutBool(true);
   meta.PutF64(3.141592653589793);
   meta.PutString("hello snapshot");
+  meta.PutText("model text");
   SnapshotSectionWriter& data = writer.AddSection("data");
   data.PutF64Vector({1.0, -0.0, std::numeric_limits<double>::infinity(),
                      std::nan("0x5CA1AB1E"), 1e-308});
   data.PutI64Vector({0, -1, std::numeric_limits<std::int64_t>::max()});
+  const std::vector<float> floats{-0.0f, std::nanf("0x1F00D"), 1e-45f};
+  data.PutF32Vector(floats);
   return writer;
 }
 
@@ -128,6 +132,7 @@ TEST(SnapshotTest, RoundTripsEveryFieldBitwise) {
   EXPECT_TRUE(meta.TakeBool());
   EXPECT_EQ(meta.TakeF64(), 3.141592653589793);
   EXPECT_EQ(meta.TakeString(), "hello snapshot");
+  EXPECT_EQ(meta.TakeText(), "model text");
   EXPECT_NO_THROW(meta.ExpectEnd());
 
   SnapshotSectionReader data = reader.Section("data");
@@ -143,7 +148,22 @@ TEST(SnapshotTest, RoundTripsEveryFieldBitwise) {
   ASSERT_EQ(ints.size(), 3u);
   EXPECT_EQ(ints[1], -1);
   EXPECT_EQ(ints[2], std::numeric_limits<std::int64_t>::max());
+  const std::vector<float> floats = data.TakeF32Vector();
+  ASSERT_EQ(floats.size(), 3u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(floats[0]), 0x80000000u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(floats[1]),
+            std::bit_cast<std::uint32_t>(std::nanf("0x1F00D")));
+  EXPECT_EQ(floats[2], 1e-45f);
   EXPECT_NO_THROW(data.ExpectEnd());
+
+  // Text past PutString's 64 KiB cap round-trips through PutText.
+  const std::string long_text(70000, 'x');
+  SnapshotWriter text_writer(kTag);
+  EXPECT_THROW(text_writer.AddSection("s").PutString(long_text), CheckError);
+  text_writer.AddSection("t").PutText(long_text);
+  const SnapshotReader text_reader =
+      SnapshotReader::Parse(std::move(text_writer).Serialize(), kTag);
+  EXPECT_EQ(text_reader.Section("t").TakeText(), long_text);
 }
 
 /// Every Put* kind, and vectors of length 0, 1 and 1000 of every element
@@ -255,6 +275,8 @@ TEST(SnapshotTest, BulkVectorReadsAreBoundsChecked) {
   EXPECT_THROW((void)reader.Section("short").TakeU8Vector(), CheckError);
   EXPECT_THROW((void)reader.Section("short").TakeI64Vector(), CheckError);
   EXPECT_THROW((void)reader.Section("short").TakeF64Vector(), CheckError);
+  EXPECT_THROW((void)reader.Section("short").TakeF32Vector(), CheckError);
+  EXPECT_THROW((void)reader.Section("short").TakeText(), CheckError);
 }
 
 TEST(SnapshotTest, RejectsWrongAppTagAndBadMagic) {

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "pareto_oracle.h"
 #include "pruning/variant_generator.h"
 
 namespace ccperf::core {

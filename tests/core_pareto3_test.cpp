@@ -6,6 +6,8 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/pareto.h"
+#include "core/pareto_sweep.h"
+#include "pareto_oracle.h"
 
 namespace ccperf::core {
 namespace {
@@ -52,10 +54,10 @@ TEST(Pareto3, SupersetOfTwoDimensionalFrontiers) {
   }
   const auto f3 = ParetoFrontier3(t, c, a);
   const std::set<std::size_t> on3(f3.begin(), f3.end());
-  for (std::size_t idx : ParetoFrontier(t, a)) {
+  for (std::size_t idx : SweepParetoFrontier(t, a)) {
     EXPECT_TRUE(on3.contains(idx)) << idx;
   }
-  for (std::size_t idx : ParetoFrontier(c, a)) {
+  for (std::size_t idx : SweepParetoFrontier(c, a)) {
     EXPECT_TRUE(on3.contains(idx)) << idx;
   }
 }
@@ -136,7 +138,7 @@ TEST(Pareto2, DuplicatesKeepLowestIndex) {
   // pinned to the lowest input index regardless of input order.
   const std::vector<double> obj{3.0, 3.0, 3.0, 1.0};
   const std::vector<double> acc{0.9, 0.9, 0.9, 0.2};
-  const auto frontier = ParetoFrontier(obj, acc);
+  const auto frontier = SweepParetoFrontier(obj, acc);
   ASSERT_EQ(frontier.size(), 2u);
   EXPECT_EQ(frontier[0], 0u);  // first duplicate, not 1 or 2
   EXPECT_EQ(frontier[1], 3u);
@@ -172,8 +174,8 @@ TEST(Pareto2, NaNPointThrows) {
   const std::vector<double> ok{1, 2};
   const std::vector<double> acc{0.5, 0.6};
   const std::vector<double> bad{std::numeric_limits<double>::quiet_NaN(), 2};
-  EXPECT_THROW(ParetoFrontier(bad, acc), CheckError);
-  EXPECT_THROW(ParetoFrontier(ok, bad), CheckError);
+  EXPECT_THROW(SweepParetoFrontier(bad, acc), CheckError);
+  EXPECT_THROW(SweepParetoFrontier(ok, bad), CheckError);
 }
 
 TEST(Pareto3, InfinityIsAllowed) {

@@ -1,5 +1,6 @@
 // Differential proof of the sorted-sweep Pareto filters (core/pareto_sweep.h)
-// against the straightforward oracles (core/pareto.h): ~200 seeded point
+// against the all-pairs oracles (ParetoFrontier3 in core/pareto.h and the
+// 2-D one in pareto_oracle.h): ~200 seeded point
 // clouds across adversarial regimes and 12,000-point clouds that run the 3-D
 // pre-pass far past its window, index-set equality everywhere, plus unit
 // coverage of the incremental staircase and the streaming-compaction
@@ -10,13 +11,16 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/pareto.h"
 #include "core/pareto_sweep.h"
+#include "pareto_oracle.h"
 
 namespace ccperf::core {
 namespace {
@@ -153,16 +157,26 @@ TEST_P(SweepVsOracle, FrontierIndexSetsIdentical3D) {
   EXPECT_EQ(sweep, oracle);
 }
 
+/// Checks SweepParetoFrontier against the all-pairs oracle: the same
+/// index set, listed by strictly descending accuracy.
+void ExpectSweepMatchesOracle2D(std::span<const double> objective,
+                                std::span<const double> accuracy) {
+  const std::vector<std::size_t> sweep =
+      SweepParetoFrontier(objective, accuracy);
+  for (std::size_t k = 1; k < sweep.size(); ++k) {
+    EXPECT_GT(accuracy[sweep[k - 1]], accuracy[sweep[k]]) << "rank " << k;
+  }
+  std::vector<std::size_t> ascending = sweep;
+  std::sort(ascending.begin(), ascending.end());
+  EXPECT_EQ(ascending, AllPairsFrontier(objective, accuracy));
+}
+
 TEST_P(SweepVsOracle, FrontierIdentical2D) {
   const SweepCase& c = GetParam();
   Rng rng(0xDEF0 + c.seed * 104729 + static_cast<std::uint64_t>(c.regime));
   const Cloud cloud = MakeCloud(static_cast<Regime>(c.regime), rng, c.points);
-  // 2-D over (cost, accuracy) and (time, accuracy): same order contract
-  // (descending accuracy), so full vector equality, not just set equality.
-  EXPECT_EQ(SweepParetoFrontier(cloud.cost, cloud.accuracy),
-            ParetoFrontier(cloud.cost, cloud.accuracy));
-  EXPECT_EQ(SweepParetoFrontier(cloud.time, cloud.accuracy),
-            ParetoFrontier(cloud.time, cloud.accuracy));
+  ExpectSweepMatchesOracle2D(cloud.cost, cloud.accuracy);
+  ExpectSweepMatchesOracle2D(cloud.time, cloud.accuracy);
 }
 
 std::string RegimeParamName(const ::testing::TestParamInfo<SweepCase>& info) {
@@ -338,6 +352,19 @@ TEST(Sweep, InfinityIsAllowed) {
   const std::vector<double> c{1, inf};
   const std::vector<double> a{0.9, 0.9};
   EXPECT_EQ(SweepParetoFrontier3(t, c, a), (std::vector<std::size_t>{0}));
+
+  // 2-D: point 0's infinite accuracy dominates point 1; a lone point at an
+  // infinite objective is dominated by nothing.
+  const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+      clouds = {{{1, 2, 0.5}, {inf, 0.9, 0.8}},
+                {{inf}, {0.5}},
+                {{inf, inf, 3}, {0.7, 0.7, 0.2}},
+                {{-inf, 1, inf}, {-inf, inf, inf}}};
+  for (const auto& [objective, accuracy] : clouds) {
+    ExpectSweepMatchesOracle2D(objective, accuracy);
+  }
+  EXPECT_EQ(SweepParetoFrontier(clouds[0].first, clouds[0].second),
+            (std::vector<std::size_t>{0, 2}));
 }
 
 }  // namespace

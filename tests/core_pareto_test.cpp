@@ -1,12 +1,15 @@
-#include "core/pareto.h"
-
+// core::SweepParetoFrontier, the 2-D frontier filter, on hand cases and
+// on seeded clouds checked against the all-pairs oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/pareto_sweep.h"
+#include "pareto_oracle.h"
 
 namespace ccperf::core {
 namespace {
@@ -24,7 +27,7 @@ TEST(Pareto, HandCase) {
   // (obj, acc): A(1, .5) B(2, .7) C(3, .6) D(2, .9) E(4, .9)
   const std::vector<double> obj{1, 2, 3, 2, 4};
   const std::vector<double> acc{0.5, 0.7, 0.6, 0.9, 0.9};
-  const auto frontier = ParetoFrontier(obj, acc);
+  const auto frontier = SweepParetoFrontier(obj, acc);
   // D dominates B? D(2,.9) vs B(2,.7): yes. C dominated by B/D. E dominated
   // by D. Frontier: D (acc .9 obj 2), A (acc .5 obj 1).
   const std::set<std::size_t> got(frontier.begin(), frontier.end());
@@ -34,7 +37,7 @@ TEST(Pareto, HandCase) {
 TEST(Pareto, SortedByDescendingAccuracy) {
   const std::vector<double> obj{1, 2, 3};
   const std::vector<double> acc{0.1, 0.5, 0.9};
-  const auto frontier = ParetoFrontier(obj, acc);
+  const auto frontier = SweepParetoFrontier(obj, acc);
   ASSERT_EQ(frontier.size(), 3u);
   EXPECT_EQ(frontier[0], 2u);
   EXPECT_EQ(frontier[2], 0u);
@@ -43,23 +46,23 @@ TEST(Pareto, SortedByDescendingAccuracy) {
 TEST(Pareto, SinglePoint) {
   const std::vector<double> obj{5.0};
   const std::vector<double> acc{0.5};
-  EXPECT_EQ(ParetoFrontier(obj, acc).size(), 1u);
+  EXPECT_EQ(SweepParetoFrontier(obj, acc).size(), 1u);
 }
 
 TEST(Pareto, EmptyInput) {
-  EXPECT_TRUE(ParetoFrontier({}, {}).empty());
+  EXPECT_TRUE(SweepParetoFrontier({}, {}).empty());
 }
 
 TEST(Pareto, DuplicatesKeepOneRepresentative) {
   const std::vector<double> obj{1, 1, 1};
   const std::vector<double> acc{0.5, 0.5, 0.5};
-  EXPECT_EQ(ParetoFrontier(obj, acc).size(), 1u);
+  EXPECT_EQ(SweepParetoFrontier(obj, acc).size(), 1u);
 }
 
 TEST(Pareto, AllDominatedByOne) {
   const std::vector<double> obj{1, 2, 3, 4};
   const std::vector<double> acc{0.9, 0.8, 0.7, 0.6};
-  const auto frontier = ParetoFrontier(obj, acc);
+  const auto frontier = SweepParetoFrontier(obj, acc);
   ASSERT_EQ(frontier.size(), 1u);
   EXPECT_EQ(frontier[0], 0u);
 }
@@ -67,7 +70,7 @@ TEST(Pareto, AllDominatedByOne) {
 TEST(Pareto, MismatchedSizesThrow) {
   const std::vector<double> obj{1.0};
   const std::vector<double> acc{0.5, 0.6};
-  EXPECT_THROW(ParetoFrontier(obj, acc), CheckError);
+  EXPECT_THROW(SweepParetoFrontier(obj, acc), CheckError);
 }
 
 // Property test: for random point clouds the frontier must (a) contain no
@@ -83,8 +86,11 @@ TEST_P(ParetoProperty, FrontierIsMinimalAndComplete) {
     // Quantize to force ties.
     acc[i] = static_cast<double>(rng.NextIndex(20)) / 20.0;
   }
-  const auto frontier = ParetoFrontier(obj, acc);
+  const auto frontier = SweepParetoFrontier(obj, acc);
   ASSERT_FALSE(frontier.empty());
+  std::vector<std::size_t> ascending = frontier;
+  std::sort(ascending.begin(), ascending.end());
+  EXPECT_EQ(ascending, AllPairsFrontier(obj, acc));
 
   const std::set<std::size_t> on_frontier(frontier.begin(), frontier.end());
   for (std::size_t a : frontier) {

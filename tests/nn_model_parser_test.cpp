@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <vector>
 
 #include "common/check.h"
 #include "nn/conv_layer.h"
 #include "nn/fc_layer.h"
+#include "nn/lrn_layer.h"
 #include "nn/model_zoo.h"
+#include "nn/pool_layer.h"
 
 namespace ccperf::nn {
 namespace {
@@ -111,6 +117,100 @@ TEST(ModelParser, RejectsMalformedInput) {
   EXPECT_THROW(
       (void)ParseModel("network x\ninput 3 8 8\nconv c out=4 kernel=99\n"),
       CheckError);
+}
+
+TEST(ModelParser, RejectsImplausibleExtents) {
+  // Each would allocate far past 1e9 weights, or divide by zero groups;
+  // all must fail as a CheckError naming the line.
+  for (const char* layer :
+       {"fc f out=4000000000", "conv c out=100000 kernel=100000",
+        "fc f out=10000000", "conv c out=4 groups=0",
+        "maxpool p kernel=2000000000", "lrn n size=99999999999"}) {
+    try {
+      (void)ParseModel(std::string("network x\ninput 3 8 8\n") + layer);
+      ADD_FAILURE() << layer << " parsed";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)ParseModel("input 3 8 4000000000\nrelu r\n"),
+               CheckError);
+  EXPECT_THROW(
+      (void)ParseModel(
+          "input 1000000000 1000000000 1000000000\nfc f out=1\n"),
+      CheckError);
+}
+
+/// Every hyper-parameter and every wire of `a` and `b`, float ones bitwise.
+void ExpectSameHyperParameters(const Network& a, const Network& b) {
+  EXPECT_EQ(b.Name(), a.Name());
+  EXPECT_EQ(b.InputShape(), a.InputShape());
+  ASSERT_EQ(b.LayerCount(), a.LayerCount());
+  for (std::size_t i = 0; i < a.LayerCount(); ++i) {
+    const Layer& la = a.LayerAt(i);
+    const Layer& lb = b.LayerAt(i);
+    SCOPED_TRACE(la.Name());
+    EXPECT_EQ(lb.Name(), la.Name());
+    ASSERT_EQ(lb.Kind(), la.Kind());
+    EXPECT_EQ(b.NodeInputs(i), a.NodeInputs(i));
+    if (const auto* conv = dynamic_cast<const ConvLayer*>(&la)) {
+      const auto& other = static_cast<const ConvLayer&>(lb);
+      EXPECT_EQ(other.InChannels(), conv->InChannels());
+      EXPECT_EQ(other.Params().out_channels, conv->Params().out_channels);
+      EXPECT_EQ(other.Params().kernel, conv->Params().kernel);
+      EXPECT_EQ(other.Params().stride, conv->Params().stride);
+      EXPECT_EQ(other.Params().pad, conv->Params().pad);
+      EXPECT_EQ(other.Params().groups, conv->Params().groups);
+    } else if (const auto* fc = dynamic_cast<const FcLayer*>(&la)) {
+      const auto& other = static_cast<const FcLayer&>(lb);
+      EXPECT_EQ(other.InFeatures(), fc->InFeatures());
+      EXPECT_EQ(other.OutFeatures(), fc->OutFeatures());
+    } else if (const auto* pool = dynamic_cast<const PoolLayer*>(&la)) {
+      const auto& other = static_cast<const PoolLayer&>(lb);
+      EXPECT_EQ(other.Params().kernel, pool->Params().kernel);
+      EXPECT_EQ(other.Params().stride, pool->Params().stride);
+      EXPECT_EQ(other.Params().pad, pool->Params().pad);
+    } else if (const auto* lrn = dynamic_cast<const LrnLayer*>(&la)) {
+      const LrnParams& p = lrn->Params();
+      const LrnParams& q = static_cast<const LrnLayer&>(lb).Params();
+      EXPECT_EQ(q.local_size, p.local_size);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(q.alpha),
+                std::bit_cast<std::uint32_t>(p.alpha));
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(q.beta),
+                std::bit_cast<std::uint32_t>(p.beta));
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(q.k),
+                std::bit_cast<std::uint32_t>(p.k));
+    }
+  }
+}
+
+TEST(ModelParser, FormatModelRoundTripsEveryHyperParameter) {
+  std::vector<Network> nets;
+  ModelConfig config;
+  config.weight_seed = 0;
+  nets.push_back(BuildTinyCnn(config));
+  config.channel_scale = 0.125;
+  nets.push_back(BuildCaffeNet(config));
+  config.channel_scale = 0.1;
+  nets.push_back(BuildGoogLeNet(config));
+  nets.push_back(ParseModel(
+      "network lrn\ninput 4 8 8\nlrn n size=3 alpha=0.0002 beta=0.5 k=2\n"));
+  // A float that six significant digits cannot tell from its neighbour.
+  Network odd("odd-lrn", Shape{4, 8, 8});
+  LrnParams params;
+  params.alpha = std::nextafter(2e-4f, 1.0f);
+  params.beta = std::nextafter(0.75f, 0.0f);
+  params.k = -0.0f;
+  odd.Add(std::make_unique<LrnLayer>("n", params));
+  nets.push_back(std::move(odd));
+  for (const Network& net : nets) {
+    SCOPED_TRACE(net.Name());
+    const std::string text = FormatModel(net);
+    const Network reparsed = ParseModel(text);
+    EXPECT_EQ(FormatModel(reparsed), text);
+    ExpectSameHyperParameters(net, reparsed);
+  }
 }
 
 TEST(ModelParser, RoundTripThroughFormat) {

@@ -28,10 +28,7 @@ namespace {
 std::string SerializedTinyCnn() {
   nn::ModelConfig config;
   config.weight_seed = 3;
-  const nn::Network net = nn::BuildTinyCnn(config);
-  std::stringstream buffer;
-  nn::SaveNetwork(net, buffer);
-  return buffer.str();
+  return nn::SaveNetwork(nn::BuildTinyCnn(config));
 }
 
 class SerializedCorruption : public ::testing::TestWithParam<std::uint64_t> {};
@@ -47,13 +44,12 @@ TEST_P(SerializedCorruption, NeverCrashesOnCorruptStreams) {
       const auto pos = rng.NextIndex(bytes.size());
       bytes[pos] = static_cast<char>(rng.NextU64());
     }
-    std::stringstream corrupted(bytes);
-    try {
-      const nn::Network net = nn::LoadNetwork(corrupted);
-      // If it loaded despite the corruption, it must still be executable.
-      (void)net.OutputShape(1);
-    } catch (const CheckError&) {
-      // Expected for most corruptions.
+    // A byte may be overwritten with its own value; any real change must
+    // fail the container's CRCs.
+    if (bytes == pristine) {
+      (void)nn::LoadNetwork(bytes).OutputShape(1);
+    } else {
+      EXPECT_THROW((void)nn::LoadNetwork(bytes), CheckError);
     }
   }
 }
@@ -63,8 +59,7 @@ TEST_P(SerializedCorruption, NeverCrashesOnTruncation) {
   Rng rng(GetParam() ^ 0xabcdef);
   for (int trial = 0; trial < 40; ++trial) {
     const auto cut = rng.NextIndex(pristine.size());
-    std::stringstream truncated(pristine.substr(0, cut));
-    EXPECT_THROW((void)nn::LoadNetwork(truncated), CheckError);
+    EXPECT_THROW((void)nn::LoadNetwork(pristine.substr(0, cut)), CheckError);
   }
 }
 
