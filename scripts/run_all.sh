@@ -17,6 +17,8 @@ scripts/run_static_analysis.sh build      # clang-tidy (skips w/o the tool)
 scripts/check_kernel_odr.sh build         # ISA/ODR leak check on kernel TUs
 scripts/check_determinism_lint.sh         # banned nondeterminism constructs
 scripts/check_units_lint.sh               # raw-double unit leaks in public headers
+scripts/check_reachability.sh --selftest  # the probe still finds a seeded dead function
+scripts/check_reachability.sh             # library functions no program links
 
 echo "== benchmark =="
 # The benchmark's own test: builds perfbench/ (into $CARGO_TARGET_DIR or

@@ -12,14 +12,16 @@
 #                                   # policy model + serving/enumeration
 #   scripts/run_tests.sh static     # lint gates: clang-tidy, kernel ODR/ISA
 #                                   # leak check, determinism lint, units
-#                                   # lint, units negative-compile proof
+#                                   # lint, units negative-compile proof,
+#                                   # reachability lint
 #   scripts/run_tests.sh golden     # ccperf_calc frontiers vs tests/golden/
 #
 # Labels are assigned in tests/CMakeLists.txt via
 # ccperf_add_test(... LABELS x y); a suite may carry several. The static
 # label wraps the scripts/{run_static_analysis,check_kernel_odr,
-# check_determinism_lint,check_units_lint}.sh gates as ctest entries, plus
-# the common/units.h negative-compile proof stamped at configure time.
+# check_determinism_lint,check_units_lint,check_reachability}.sh gates as
+# ctest entries, plus the common/units.h negative-compile proof stamped at
+# configure time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

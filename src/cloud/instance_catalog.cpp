@@ -92,13 +92,6 @@ const InstanceType& InstanceCatalog::Find(const std::string& name) const {
   CCPERF_CHECK(false, "unknown instance type '", name, "'");
 }
 
-bool InstanceCatalog::Contains(const std::string& name) const {
-  for (const auto& t : types_) {
-    if (t.name == name) return true;
-  }
-  return false;
-}
-
 std::vector<InstanceType> InstanceCatalog::Category(
     const std::string& category) const {
   std::vector<InstanceType> result;

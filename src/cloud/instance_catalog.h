@@ -74,9 +74,6 @@ class InstanceCatalog {
   /// Lookup by exact name; throws CheckError when absent.
   [[nodiscard]] const InstanceType& Find(const std::string& name) const;
 
-  /// True if `name` is in the catalog.
-  [[nodiscard]] bool Contains(const std::string& name) const;
-
   /// All types of one category ("p2"), in catalog order.
   [[nodiscard]] std::vector<InstanceType> Category(
       const std::string& category) const;

@@ -40,14 +40,6 @@ UsdPerHour PricePerHour(const ResourceConfig& config,
   return price;
 }
 
-int TotalGpus(const ResourceConfig& config, const InstanceCatalog& catalog) {
-  int gpus = 0;
-  for (const auto& [type, count] : config.instances) {
-    gpus += catalog.Find(type).gpus * count;
-  }
-  return gpus;
-}
-
 std::vector<ResourceConfig> EnumerateConfigs(
     std::span<const InstanceType> types, int max_per_type) {
   CCPERF_CHECK(!types.empty(), "no instance types to enumerate");

@@ -33,9 +33,6 @@ struct ResourceConfig {
 UsdPerHour PricePerHour(const ResourceConfig& config,
                         const InstanceCatalog& catalog);
 
-/// Total GPU count across the configuration.
-int TotalGpus(const ResourceConfig& config, const InstanceCatalog& catalog);
-
 /// Every non-empty combination of 0..max_per_type instances of each type —
 /// (max_per_type+1)^|types| - 1 configurations.
 std::vector<ResourceConfig> EnumerateConfigs(

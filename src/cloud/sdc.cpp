@@ -2,22 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 
 namespace ccperf::cloud {
-
-const char* SdcPolicyKindName(SdcPolicyKind kind) {
-  switch (kind) {
-    case SdcPolicyKind::kOff: return "off";
-    case SdcPolicyKind::kNone: return "none";
-    case SdcPolicyKind::kAbft: return "abft";
-    case SdcPolicyKind::kScrub: return "scrub";
-    case SdcPolicyKind::kReexecSample: return "reexec-sample";
-  }
-  return "?";
-}
 
 void SdcPolicy::Validate() const {
   CCPERF_CHECK(std::isfinite(scrub_interval_s) && scrub_interval_s > 0.0,
@@ -32,17 +20,6 @@ void SdcPolicy::Validate() const {
   CCPERF_CHECK(std::isfinite(sample_fraction) && sample_fraction >= 0.0 &&
                    sample_fraction <= 1.0,
                "sample_fraction must be in [0, 1], got ", sample_fraction);
-}
-
-std::string SdcPolicy::Label() const {
-  std::ostringstream out;
-  out << SdcPolicyKindName(kind);
-  if (kind == SdcPolicyKind::kScrub) {
-    out << "@" << scrub_interval_s;
-  } else if (kind == SdcPolicyKind::kReexecSample) {
-    out << "@" << sample_fraction;
-  }
-  return out.str();
 }
 
 SdcAssessment AssessSdc(const SdcPolicy& policy, RatePerHour sdc_rate,

@@ -35,17 +35,12 @@
 //                   coverage = overhead = sample_fraction.
 #pragma once
 
-#include <string>
-
 #include "common/units.h"
 
 namespace ccperf::cloud {
 
 /// Detection posture of a deployment.
 enum class SdcPolicyKind { kOff, kNone, kAbft, kScrub, kReexecSample };
-
-/// "off" / "none" / "abft" / "scrub" / "reexec-sample".
-const char* SdcPolicyKindName(SdcPolicyKind kind);
 
 /// Fraction of ABFT-checked corruptions detected. Calibrated by
 /// tensor_abft_differential_test: the float checksum detects seeded
@@ -90,10 +85,6 @@ struct SdcPolicy {
 
   /// Throws CheckError on non-finite / out-of-range knobs.
   void Validate() const;
-
-  /// Stable one-token description for Describe()/fingerprints:
-  /// "off", "none", "abft", "scrub@300", "reexec@0.1".
-  [[nodiscard]] std::string Label() const;
 };
 
 /// What a policy costs and lets through over one run.

@@ -443,13 +443,6 @@ SnapshotReader SnapshotReader::FromFile(const std::string& path,
   return Parse(std::move(bytes), app_tag);
 }
 
-bool SnapshotReader::Has(const std::string& name) const {
-  for (const SectionView& section : sections_) {
-    if (section.name == name) return true;
-  }
-  return false;
-}
-
 SnapshotSectionReader SnapshotReader::Section(const std::string& name) const {
   for (const SectionView& section : sections_) {
     if (section.name == name) return SnapshotSectionReader(section.payload);

@@ -195,7 +195,6 @@ class SnapshotReader {
   static SnapshotReader FromFile(const std::string& path,
                                  std::uint32_t app_tag);
 
-  [[nodiscard]] bool Has(const std::string& name) const;
   /// Section payload by name, as a view into the parsed bytes; throws
   /// CheckError when absent.
   [[nodiscard]] SnapshotSectionReader Section(const std::string& name) const;

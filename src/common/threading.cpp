@@ -37,11 +37,6 @@ void FirstErrorCollector::Record(std::size_t index, std::string message) {
   }
 }
 
-bool FirstErrorCollector::HasError() const {
-  MutexLock lock(mutex_);
-  return index_ != SIZE_MAX;
-}
-
 void FirstErrorCollector::RethrowIfError() const {
   MutexLock lock(mutex_);
   if (index_ == SIZE_MAX) return;
@@ -72,16 +67,8 @@ void ThreadPool::Submit(std::function<void()> job) {
     MutexLock lock(mutex_);
     CCPERF_CHECK(!stopping_, "Submit on stopping pool");
     jobs_.push(std::move(job));
-    ++in_flight_;
   }
   job_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mutex_);
-  all_done_.Wait(mutex_, [this]() CCPERF_REQUIRES(mutex_) {
-    return in_flight_ == 0;
-  });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -98,11 +85,6 @@ void ThreadPool::WorkerLoop() {
       jobs_.pop();
     }
     job();
-    {
-      MutexLock lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
   }
 }
 
@@ -153,9 +135,9 @@ void ParallelForChunks(std::size_t begin, std::size_t end,
       std::min(workers * 4, std::max<std::size_t>(1, n / grain));
   const std::size_t chunk = (n + chunks - 1) / chunks;
   const std::size_t live = (n + chunk - 1) / chunk;  // non-empty chunks
-  // Per-call latch, not ThreadPool::Wait(): each caller waits only on its
-  // own chunks, so overlapping dispatch from several threads never blocks
-  // one caller on another's jobs.
+  // Per-call latch: each caller waits only on its own chunks, so
+  // overlapping dispatch from several threads never blocks one caller on
+  // another's jobs.
   std::latch done(static_cast<std::ptrdiff_t>(live));
   std::atomic<bool> failed{false};
   for (std::size_t c = 0; c < live; ++c) {

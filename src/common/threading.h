@@ -93,8 +93,6 @@ class FirstErrorCollector {
   void Record(std::size_t index, std::string message)
       CCPERF_EXCLUDES(mutex_);
 
-  [[nodiscard]] bool HasError() const CCPERF_EXCLUDES(mutex_);
-
   /// Throws CheckError with the recorded message, if any.
   void RethrowIfError() const CCPERF_EXCLUDES(mutex_);
 
@@ -117,11 +115,10 @@ class ThreadPool {
   /// Number of worker threads (>= 1).
   [[nodiscard]] std::size_t ThreadCount() const { return workers_.size(); }
 
-  /// Enqueue a job for asynchronous execution.
+  /// Enqueue a job for asynchronous execution. The pool offers no wait:
+  /// a caller that needs its jobs finished counts them down on a latch of
+  /// its own, as ParallelForChunks does.
   void Submit(std::function<void()> job) CCPERF_EXCLUDES(mutex_);
-
-  /// Block until every submitted job has finished.
-  void Wait() CCPERF_EXCLUDES(mutex_);
 
  private:
   void WorkerLoop();
@@ -129,9 +126,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;  // written before workers start
   Mutex mutex_;
   CondVar job_available_;
-  CondVar all_done_;
   std::queue<std::function<void()>> jobs_ CCPERF_GUARDED_BY(mutex_);
-  std::size_t in_flight_ CCPERF_GUARDED_BY(mutex_) = 0;
   bool stopping_ CCPERF_GUARDED_BY(mutex_) = false;
 };
 

@@ -1,8 +1,6 @@
 #include "core/calibration.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
 #include <vector>
 
 #include "common/check.h"
@@ -140,71 +138,6 @@ CalibratedAccuracyModel FitAccuracyModel(
   }
   return CalibratedAccuracyModel(base_top1, base_top5, fallback,
                                  std::move(overrides), knee_exponent);
-}
-
-namespace {
-
-/// Strict double parse: the whole (trimmed) cell must be one finite number.
-double ParseCell(const std::string& cell, const char* what) {
-  const auto first = cell.find_first_not_of(" \t\r");
-  CCPERF_CHECK(first != std::string::npos, "empty ", what, " cell");
-  const auto last = cell.find_last_not_of(" \t\r");
-  const std::string body = cell.substr(first, last - first + 1);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(body.c_str(), &end);
-  CCPERF_CHECK(end == body.c_str() + body.size() && errno == 0 &&
-                   std::isfinite(value),
-               "malformed ", what, " value '", cell, "' in calibration CSV");
-  return value;
-}
-
-}  // namespace
-
-std::vector<CurvePoint> ParseCurveCsv(std::istream& in) {
-  std::string line;
-  CCPERF_CHECK(static_cast<bool>(std::getline(in, line)),
-               "calibration CSV is empty");
-  const auto trim = [](std::string s) {
-    const auto a = s.find_first_not_of(" \t\r");
-    if (a == std::string::npos) return std::string();
-    const auto b = s.find_last_not_of(" \t\r");
-    return s.substr(a, b - a + 1);
-  };
-  CCPERF_CHECK(trim(line) == "ratio,seconds,top1,top5",
-               "unexpected calibration CSV header '", line, "'");
-  std::vector<CurvePoint> curve;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    std::vector<std::string> cells;
-    std::string cell;
-    std::stringstream row(line);
-    while (std::getline(row, cell, ',')) cells.push_back(cell);
-    CCPERF_CHECK(cells.size() == 4, "calibration CSV row needs 4 cells, got ",
-                 cells.size(), " in '", line, "'");
-    CurvePoint point;
-    point.ratio = ParseCell(cells[0], "ratio");
-    point.seconds = ParseCell(cells[1], "seconds");
-    point.top1 = ParseCell(cells[2], "top1");
-    point.top5 = ParseCell(cells[3], "top5");
-    CCPERF_CHECK(point.ratio >= 0.0 && point.ratio < 1.0,
-                 "ratio must be in [0, 1), got ", point.ratio);
-    CCPERF_CHECK(point.seconds >= 0.0, "seconds must be >= 0, got ",
-                 point.seconds);
-    CCPERF_CHECK(point.top1 >= 0.0 && point.top1 <= 1.0 &&
-                     point.top5 >= 0.0 && point.top5 <= 1.0,
-                 "accuracies must be in [0, 1]");
-    CCPERF_CHECK(curve.empty() || point.ratio > curve.back().ratio,
-                 "sweep ratios must be strictly ascending, got ",
-                 point.ratio, " after ", curve.back().ratio);
-    curve.push_back(point);
-  }
-  return curve;
-}
-
-std::vector<CurvePoint> ParseCurveCsv(const std::string& text) {
-  std::stringstream stream(text);
-  return ParseCurveCsv(stream);
 }
 
 }  // namespace ccperf::core

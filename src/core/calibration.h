@@ -11,7 +11,6 @@
 // that yields its prunable fraction.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <span>
 #include <string>
@@ -61,13 +60,5 @@ CalibratedAccuracyModel FitAccuracyModel(
     double base_top1, double base_top5,
     pruning::PrunerFamily measured_family = pruning::PrunerFamily::kL1Filter,
     LayerDamage fallback = LayerDamage{2.0, 5.0}, double knee_exponent = 2.0);
-
-/// Parse a measured sweep from CSV with header
-/// "ratio,seconds,top1,top5" — the on-disk form of the calibration loop's
-/// input. Validates hard (calibrating on garbage silently poisons every
-/// downstream model): ratios strictly ascending in [0, 1), seconds >= 0,
-/// accuracies in [0, 1]. Malformed input throws CheckError.
-std::vector<CurvePoint> ParseCurveCsv(std::istream& in);
-std::vector<CurvePoint> ParseCurveCsv(const std::string& text);
 
 }  // namespace ccperf::core

@@ -38,12 +38,6 @@ Usd ExpectedCostUnderInterruption(Usd cost, Seconds duration,
   return cost * (ExpectedSecondsUnderInterruption(duration, rate) / duration);
 }
 
-double ExpectedTimeAccuracyRatio(Seconds duration, double accuracy,
-                                 RatePerHour rate) {
-  return TimeAccuracyRatio(ExpectedSecondsUnderInterruption(duration, rate),
-                           accuracy);
-}
-
 double ExpectedCostAccuracyRatio(Usd cost, Seconds duration, double accuracy,
                                  RatePerHour rate) {
   return CostAccuracyRatio(

@@ -44,10 +44,6 @@ Seconds ExpectedSecondsUnderInterruption(Seconds duration, RatePerHour rate);
 /// `cost` being the interruption-free cost of the run.
 Usd ExpectedCostUnderInterruption(Usd cost, Seconds duration, RatePerHour rate);
 
-/// TAR on interruption-inflated expected time (in seconds).
-double ExpectedTimeAccuracyRatio(Seconds duration, double accuracy,
-                                 RatePerHour rate);
-
 /// CAR on interruption-inflated expected cost.
 double ExpectedCostAccuracyRatio(Usd cost, Seconds duration, double accuracy,
                                  RatePerHour rate);

@@ -10,8 +10,6 @@ ConvLayer::ConvLayer(std::string name, ConvParams params,
     : Layer(std::move(name), LayerKind::kConvolution),
       params_(params),
       in_channels_(in_channels),
-      weights_(Shape{params.out_channels, in_channels / params.groups,
-                     params.kernel, params.kernel}),
       bias_(Shape{params.out_channels}) {
   CCPERF_CHECK(params_.out_channels > 0 && params_.kernel > 0 &&
                    params_.stride > 0 && params_.pad >= 0 && params_.groups > 0,
@@ -21,6 +19,9 @@ ConvLayer::ConvLayer(std::string name, ConvParams params,
                params_.groups, " in ", Name());
   CCPERF_CHECK(params_.out_channels % params_.groups == 0,
                "out_channels not divisible by groups in ", Name());
+  // Shaped only here: the checks above keep a zero `groups` from dividing.
+  weights_ = Tensor(Shape{params_.out_channels, in_channels_ / params_.groups,
+                          params_.kernel, params_.kernel});
 }
 
 ConvGeometry ConvLayer::GeometryFor(const Shape& input) const {

@@ -260,6 +260,13 @@ Network ParseModel(const std::string& text, std::uint64_t weight_seed) {
       CCPERF_CHECK(false, "line ", number, ": unknown directive '",
                    line.directive, "'");
     }
+    if (const auto int8 = line.keys.find("int8"); int8 != line.keys.end()) {
+      CCPERF_CHECK(layer->HasWeights(), "line ", number, ": int8= applies to "
+                   "conv and fc layers, not '", line.directive, "'");
+      CCPERF_CHECK(int8->second == "0" || int8->second == "1", "line ", number,
+                   ": int8 must be 0 or 1, got '", int8->second, "'");
+      layer->SetInt8Execution(int8->second == "1");
+    }
 
     // Validate shapes eagerly so errors carry the line number.
     Shape out_shape;
@@ -318,11 +325,13 @@ std::string FormatModel(const Network& net) {
             << " stride=" << conv.Params().stride
             << " pad=" << conv.Params().pad;
         if (conv.Params().groups != 1) out << " groups=" << conv.Params().groups;
+        if (conv.Int8Execution()) out << " int8=1";
         break;
       }
       case LayerKind::kFullyConnected: {
         const auto& fc = static_cast<const FcLayer&>(layer);
         out << "fc " << fc.Name() << " out=" << fc.OutFeatures();
+        if (fc.Int8Execution()) out << " int8=1";
         break;
       }
       case LayerKind::kMaxPool:

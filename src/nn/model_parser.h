@@ -15,7 +15,9 @@
 // the previous layer unless `from=<name>` (or `from=a,b,...` for concat)
 // says otherwise; conv in-channels and fc in-features are inferred from the
 // input shape. Keys: out, kernel, stride, pad, groups (conv); kernel,
-// stride, pad (pools); size, alpha, beta, k (lrn); out (fc).
+// stride, pad (pools); size, alpha, beta, k (lrn); out (fc); and int8 on a
+// conv or fc, where int8=1 opts the layer into int8 execution
+// (Layer::SetInt8Execution) and int8=0, the default, leaves it float.
 //
 // Model text is outside input, so ParseModel bounds what it allocates:
 // every integer (input dims included) lies in [0, 1e9], and every conv/fc
@@ -39,8 +41,9 @@ namespace ccperf::nn {
 [[nodiscard]] Network ParseModelFile(const std::string& path,
                                      std::uint64_t weight_seed = 0);
 
-/// Render a network back into the DSL (topology and every hyper-parameter,
-/// no weights): ParseModel of the result rebuilds the same layers, and
+/// Render a network back into the DSL (topology, every hyper-parameter and
+/// each layer's int8 opt-in, written as int8=1 only where it is set; no
+/// weights): ParseModel of the result rebuilds the same layers, and
 /// FormatModel of that returns the same text. LRN's float parameters are
 /// written with max_digits10 digits when they differ from the defaults.
 /// Throws CheckError on a network the text cannot carry: no layers, or a

@@ -6,7 +6,8 @@
 // A network file is a snapshot container (common/snapshot.h) with app tag
 // 'CCPF' and two sections:
 //   model   — FormatModel(net) (nn/model_parser.h), stored as text under a
-//             u64 length: the topology and every hyper-parameter;
+//             u64 length: the topology, every hyper-parameter and each
+//             layer's int8 opt-in;
 //   weights — for each weighted layer in topological order, its weight
 //             floats then its bias floats, each a u64 count and the raw
 //             IEEE-754 bits.
@@ -21,8 +22,7 @@
 // weights together stay under 2 GiB. The network name and every layer name
 // must be a model-text token (non-empty; no whitespace, '#', '=' or ','; a
 // layer may not be called "input"). A network whose names or tensors
-// break these rules fails at save, not at load. A layer's int8 opt-in
-// (Layer::SetInt8Execution) is not saved.
+// break these rules fails at save, not at load.
 //
 // Files written by the earlier stand-alone 'CCPF' stream format (magic
 // "CCPF" at offset 0) no longer load: they fail the container's magic check.

@@ -8,20 +8,6 @@
 
 namespace ccperf::pruning {
 
-std::vector<PrunePlan> SingleLayerSweep(const std::string& layer,
-                                        const std::vector<double>& ratios,
-                                        PrunerFamily family) {
-  std::vector<PrunePlan> plans;
-  plans.reserve(ratios.size());
-  for (double r : ratios) {
-    PrunePlan plan;
-    plan.family = family;
-    plan.layer_ratios[layer] = r;
-    plans.push_back(std::move(plan));
-  }
-  return plans;
-}
-
 std::vector<PrunePlan> CartesianSweep(
     const std::vector<std::string>& layers,
     const std::vector<std::vector<double>>& ratio_grids,

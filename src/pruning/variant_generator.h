@@ -11,11 +11,6 @@ class Rng;
 
 namespace ccperf::pruning {
 
-/// One plan per ratio, pruning only `layer`.
-std::vector<PrunePlan> SingleLayerSweep(
-    const std::string& layer, const std::vector<double>& ratios,
-    PrunerFamily family = PrunerFamily::kL1Filter);
-
 /// Cartesian product of per-layer ratio grids (paper Fig. 11: conv1 x conv2).
 /// `layers[i]` sweeps over `ratio_grids[i]`.
 std::vector<PrunePlan> CartesianSweep(

@@ -312,16 +312,6 @@ QuantizedPackedA::QuantizedPackedA(QuantizedPackedA&&) noexcept = default;
 QuantizedPackedA& QuantizedPackedA::operator=(QuantizedPackedA&&) noexcept =
     default;
 
-std::int64_t QuantizedPackedA::PackedBytes() const {
-  // The panel store is int16-typed, but the information content is the
-  // int8 grid: report the bytes an int8 serialization would occupy (1 byte
-  // per packed K-step value + 4 per row scale) — what the memory model
-  // prices. data_ holds kKGroup values per lane word (= 2 int16 slots).
-  return static_cast<std::int64_t>(data_.size()) * kKGroup / 2 +
-         static_cast<std::int64_t>(scales_.size()) *
-             static_cast<std::int64_t>(sizeof(float));
-}
-
 std::int8_t QuantizeToInt8(float v, float scale) {
   if (scale <= 0.0f || std::isnan(scale)) return 0;
   return static_cast<std::int8_t>(QuantizeCore(v, 1.0f / scale));

@@ -67,8 +67,6 @@ class QuantizedPackedA {
   /// exact zeros has scale 0 — its quantized values are all zero and the
   /// epilogue multiplies the accumulator by 0 (the scale-0 guard).
   [[nodiscard]] std::span<const float> RowScales() const { return scales_; }
-  /// Bytes the packed int8 representation occupies (panels + scales).
-  [[nodiscard]] std::int64_t PackedBytes() const;
 
  private:
   friend QuantizedPackedA QuantizePackA(std::int64_t m, std::int64_t k,

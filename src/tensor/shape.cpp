@@ -24,13 +24,6 @@ std::int64_t Shape::NumElements() const {
   return n;
 }
 
-std::int64_t Shape::Stride(std::size_t axis) const {
-  CCPERF_CHECK(axis < dims_.size(), "axis out of range");
-  std::int64_t stride = 1;
-  for (std::size_t a = dims_.size(); a-- > axis + 1;) stride *= dims_[a];
-  return stride;
-}
-
 std::string Shape::ToString() const {
   std::string s = "[";
   for (std::size_t i = 0; i < dims_.size(); ++i) {

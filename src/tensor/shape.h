@@ -23,9 +23,6 @@ class Shape {
   /// Product of all extents (1 for rank-0).
   [[nodiscard]] std::int64_t NumElements() const;
 
-  /// Row-major stride of `axis`.
-  [[nodiscard]] std::int64_t Stride(std::size_t axis) const;
-
   [[nodiscard]] bool operator==(const Shape& other) const = default;
 
   /// "[2, 3, 224, 224]"

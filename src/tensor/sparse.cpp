@@ -46,12 +46,6 @@ CsrMatrix CsrMatrix::FromDense(std::int64_t rows, std::int64_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::FromTensor(const Tensor& t) {
-  CCPERF_CHECK(t.GetShape().Rank() == 2, "FromTensor requires rank-2, got ",
-               t.GetShape().ToString());
-  return FromDense(t.GetShape().Dim(0), t.GetShape().Dim(1), t.Data());
-}
-
 double CsrMatrix::Sparsity() const {
   const std::int64_t total = rows_ * cols_;
   if (total == 0) return 0.0;

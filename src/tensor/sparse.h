@@ -12,8 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "tensor/tensor.h"
-
 namespace ccperf {
 
 /// Row-major CSR matrix of float32 values.
@@ -30,9 +28,6 @@ class CsrMatrix {
   /// Build from a dense row-major matrix, dropping exact zeros.
   static CsrMatrix FromDense(std::int64_t rows, std::int64_t cols,
                              std::span<const float> dense);
-
-  /// Build from a rank-2 tensor.
-  static CsrMatrix FromTensor(const Tensor& t);
 
   [[nodiscard]] std::int64_t Rows() const { return rows_; }
   [[nodiscard]] std::int64_t Cols() const { return cols_; }

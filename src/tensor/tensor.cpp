@@ -49,13 +49,6 @@ void Tensor::Set4(std::int64_t n, std::int64_t c, std::int64_t h,
   data_[static_cast<std::size_t>(Offset4(n, c, h, w))] = v;
 }
 
-Tensor Tensor::Reshaped(Shape new_shape) const {
-  CCPERF_CHECK(new_shape.NumElements() == NumElements(),
-               "reshape element count mismatch: ", shape_.ToString(), " -> ",
-               new_shape.ToString());
-  return Tensor(std::move(new_shape), data_);
-}
-
 void Tensor::FillGaussian(Rng& rng, float mean, float stddev) {
   for (auto& v : data_) {
     v = static_cast<float>(rng.NextGaussian(mean, stddev));

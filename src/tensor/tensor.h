@@ -34,9 +34,6 @@ class Tensor {
   void Set4(std::int64_t n, std::int64_t c, std::int64_t h, std::int64_t w,
             float v);
 
-  /// Reinterpret with a new shape of identical element count.
-  [[nodiscard]] Tensor Reshaped(Shape new_shape) const;
-
   /// Fill with iid N(mean, stddev) values from `rng`.
   void FillGaussian(Rng& rng, float mean, float stddev);
 

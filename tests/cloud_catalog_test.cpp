@@ -63,8 +63,6 @@ TEST(Catalog, GpuCoreCountsMatchPaper) {
 TEST(Catalog, FindUnknownThrows) {
   const InstanceCatalog catalog = InstanceCatalog::AwsEc2();
   EXPECT_THROW(catalog.Find("c5.large"), CheckError);
-  EXPECT_FALSE(catalog.Contains("c5.large"));
-  EXPECT_TRUE(catalog.Contains("p2.xlarge"));
 }
 
 TEST(Catalog, CategoryFiltering) {

@@ -38,7 +38,7 @@ TEST(SdcPolicy, ValidateAcceptsDefaultsOfEveryKind) {
        {SdcPolicyKind::kOff, SdcPolicyKind::kNone, SdcPolicyKind::kAbft,
         SdcPolicyKind::kScrub, SdcPolicyKind::kReexecSample}) {
     SdcPolicy policy{.kind = kind};
-    EXPECT_NO_THROW(policy.Validate()) << SdcPolicyKindName(kind);
+    EXPECT_NO_THROW(policy.Validate()) << static_cast<int>(kind);
   }
 }
 
@@ -57,15 +57,6 @@ TEST(SdcPolicy, ValidateRejectsBadKnobs) {
   EXPECT_THROW(sample.Validate(), CheckError);
   sample.sample_fraction = -0.1;
   EXPECT_THROW(sample.Validate(), CheckError);
-}
-
-TEST(SdcPolicy, LabelIsStable) {
-  EXPECT_EQ(SdcPolicy{}.Label(), "off");
-  EXPECT_EQ((SdcPolicy{.kind = SdcPolicyKind::kNone}).Label(), "none");
-  EXPECT_EQ((SdcPolicy{.kind = SdcPolicyKind::kAbft}).Label(), "abft");
-  EXPECT_EQ((SdcPolicy{.kind = SdcPolicyKind::kScrub}).Label(), "scrub@300");
-  EXPECT_EQ((SdcPolicy{.kind = SdcPolicyKind::kReexecSample}).Label(),
-            "reexec-sample@0.1");
 }
 
 // ----------------------------------------------------------- closed form --

@@ -98,7 +98,6 @@ TEST(ScopedSerial, GuardedStateStillCorrectInline) {
 
 TEST(FirstErrorCollector, EmptyCollectorIsSilent) {
   FirstErrorCollector errors;
-  EXPECT_FALSE(errors.HasError());
   errors.RethrowIfError();  // must not throw
 }
 
@@ -110,7 +109,6 @@ TEST(FirstErrorCollector, KeepsLowestIndexAcrossThreads) {
         if (i % 2 == 1) errors.Record(i, "error at " + std::to_string(i));
       },
       1);
-  ASSERT_TRUE(errors.HasError());
   try {
     errors.RethrowIfError();
     FAIL() << "expected CheckError";

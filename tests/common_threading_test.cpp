@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <vector>
 
@@ -14,17 +15,15 @@ namespace {
 TEST(ThreadPool, RunsAllJobs) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
+  std::latch done(100);
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.Submit([&counter, &done] {
+      counter.fetch_add(1);
+      done.count_down();
+    });
   }
-  pool.Wait();
+  done.wait();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitWithNoJobsReturns) {
-  ThreadPool pool(1);
-  pool.Wait();  // must not hang
-  SUCCEED();
 }
 
 TEST(ThreadPool, ThreadCountAtLeastOne) {
@@ -36,12 +35,16 @@ TEST(ThreadPool, SequentialBatches) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int round = 0; round < 5; ++round) {
+    std::latch done(20);
     for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.Submit([&counter, &done] {
+        counter.fetch_add(1);
+        done.count_down();
+      });
     }
-    pool.Wait();
+    done.wait();
+    EXPECT_EQ(counter.load(), 20 * (round + 1));
   }
-  EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
@@ -139,15 +142,14 @@ TEST(ParallelFor, NestedCallFromSubmittedWorkerJobDoesNotDeadlock) {
   // the exact shape of the conv kernel calling ParallelForChunks from a
   // batched outer loop.
   std::atomic<long> sum{0};
-  std::atomic<bool> done{false};
+  std::latch done(1);
   GlobalPool().Submit([&sum, &done] {
     ParallelFor(
         0, 1000, [&sum](std::size_t i) { sum.fetch_add(static_cast<long>(i)); },
         8);
-    done.store(true);
+    done.count_down();
   });
-  GlobalPool().Wait();
-  EXPECT_TRUE(done.load());
+  done.wait();
   EXPECT_EQ(sum.load(), 499500);
 }
 
@@ -181,11 +183,15 @@ TEST(ParallelFor, SubmitFromMultipleThreadsWhileLoopsRun) {
   // Raw Submit traffic interleaved with ParallelFor from other threads:
   // the per-call latch must be insensitive to unrelated queue activity.
   std::atomic<int> submitted_done{0};
+  std::latch drained(200);
   std::atomic<long> loop_sum{0};
   std::vector<std::thread> threads;
-  threads.emplace_back([&submitted_done] {
+  threads.emplace_back([&submitted_done, &drained] {
     for (int i = 0; i < 200; ++i) {
-      GlobalPool().Submit([&submitted_done] { submitted_done.fetch_add(1); });
+      GlobalPool().Submit([&submitted_done, &drained] {
+        submitted_done.fetch_add(1);
+        drained.count_down();
+      });
     }
   });
   threads.emplace_back([&loop_sum] {
@@ -199,7 +205,7 @@ TEST(ParallelFor, SubmitFromMultipleThreadsWhileLoopsRun) {
     }
   });
   for (auto& th : threads) th.join();
-  GlobalPool().Wait();  // drain the raw submissions
+  drained.wait();  // the raw submissions
   EXPECT_EQ(submitted_done.load(), 200);
   EXPECT_EQ(loop_sum.load(), 4L * 1999000);
 }

@@ -81,6 +81,30 @@ TEST_F(CharacterizationTest, SingleLayerSweepShapes) {
   EXPECT_DOUBLE_EQ(curve[3].ratio, 0.9);
 }
 
+TEST_F(CharacterizationTest, SingleLayerSweepPrunesOnlyTheLayer) {
+  // Point i is the plan that prunes `layer` alone, at ratios[i], with the
+  // sweep's family; the ratio-0 point is the dense network.
+  const std::vector<double> ratios{0.0, 0.3, 0.6};
+  const auto curve = ch_.SingleLayerSweep("p2.xlarge", "conv1", ratios, 50000,
+                                          pruning::PrunerFamily::kMagnitude);
+  ASSERT_EQ(curve.size(), ratios.size());
+  const CurvePoint dense =
+      ch_.EvaluatePlan("p2.xlarge", pruning::PrunePlan{}, 50000);
+  EXPECT_EQ(curve[0].seconds, dense.seconds);
+  EXPECT_EQ(curve[0].top1, dense.top1);
+  EXPECT_EQ(curve[0].top5, dense.top5);
+  for (std::size_t i = 0; i < ratios.size(); ++i) {
+    pruning::PrunePlan plan;
+    plan.family = pruning::PrunerFamily::kMagnitude;
+    plan.layer_ratios["conv1"] = ratios[i];
+    const CurvePoint expected = ch_.EvaluatePlan("p2.xlarge", plan, 50000);
+    EXPECT_EQ(curve[i].ratio, ratios[i]);
+    EXPECT_EQ(curve[i].seconds, expected.seconds) << "point " << i;
+    EXPECT_EQ(curve[i].top1, expected.top1) << "point " << i;
+    EXPECT_EQ(curve[i].top5, expected.top5) << "point " << i;
+  }
+}
+
 TEST_F(CharacterizationTest, SweetSpotsMatchPaper) {
   // The paper's Fig. 6 sweet spots: conv1 ~30 %, conv2 ~50 %. Under the
   // dispatch-aware time model only conv2's survives: at 50 % its density

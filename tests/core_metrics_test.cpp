@@ -101,15 +101,10 @@ TEST(ExpectedValue, MonotoneInRateAndTime) {
 }
 
 TEST(ExpectedValue, RatiosInflateWithRisk) {
-  // At rate 0 the expected ratios reduce to the plain TAR/CAR.
-  EXPECT_DOUBLE_EQ(
-      ExpectedTimeAccuracyRatio(Seconds(10.0), 0.5, RatePerHour(0.0)),
-      TimeAccuracyRatio(Seconds(10.0), 0.5));
+  // At rate 0 the expected ratio reduces to the plain CAR.
   EXPECT_DOUBLE_EQ(ExpectedCostAccuracyRatio(Usd(0.57), Seconds(3600.0), 1.0,
                                              RatePerHour(0.0)),
                    CostAccuracyRatio(Usd(0.57), 1.0));
-  EXPECT_GT(ExpectedTimeAccuracyRatio(Seconds(3600.0), 0.5, RatePerHour(2.0)),
-            TimeAccuracyRatio(Seconds(3600.0), 0.5));
   EXPECT_GT(ExpectedCostAccuracyRatio(Usd(1.0), Seconds(3600.0), 0.5,
                                       RatePerHour(2.0)),
             CostAccuracyRatio(Usd(1.0), 0.5));
@@ -128,8 +123,6 @@ TEST(ExpectedValue, RejectsBadArguments) {
   EXPECT_THROW(
       ExpectedCostUnderInterruption(Usd(1.0), Seconds(-1.0), RatePerHour(1.0)),
       CheckError);
-  EXPECT_THROW(ExpectedTimeAccuracyRatio(Seconds(1.0), 1.5, RatePerHour(1.0)),
-               CheckError);
   EXPECT_THROW(
       ExpectedCostAccuracyRatio(Usd(1.0), Seconds(1.0), 0.0, RatePerHour(1.0)),
       CheckError);

@@ -295,6 +295,14 @@ TEST(ConvLayer, RejectsIndivisibleGroups) {
       CheckError);
 }
 
+TEST(ConvLayer, RejectsZeroGroupsBeforeDividing) {
+  // The weight shape divides in_channels by groups; a zero must throw, not
+  // trap with SIGFPE.
+  EXPECT_THROW(
+      ConvLayer("conv", {.out_channels = 4, .kernel = 3, .groups = 0}, 8),
+      CheckError);
+}
+
 TEST(ConvLayer, CloneIsDeep) {
   ConvLayer layer("conv", {.out_channels = 2, .kernel = 1}, 2);
   Rng rng(1);

@@ -213,6 +213,30 @@ TEST(ModelParser, FormatModelRoundTripsEveryHyperParameter) {
   }
 }
 
+TEST(ModelParser, Int8KeyOptsWeightedLayersIn) {
+  const Network net = ParseModel(
+      "network q\ninput 3 8 8\nconv c out=4 kernel=3 int8=1\nrelu r\n"
+      "fc f out=5 int8=0\n");
+  EXPECT_TRUE(net.LayerAt(0).Int8Execution());
+  EXPECT_FALSE(net.LayerAt(2).Int8Execution());
+  // Only a set opt-in is written, so float model text keeps its bytes.
+  EXPECT_EQ(FormatModel(net),
+            "network q\ninput 3 8 8\nconv c out=4 kernel=3 stride=1 pad=0 "
+            "int8=1\nrelu r\nfc f out=5\n");
+  for (const char* bad :
+       {"relu r int8=1", "maxpool p int8=0", "conv c out=4 int8=2",
+        "fc f out=5 int8=yes", "conv c out=4 int8="}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)ParseModel(std::string("network x\ninput 3 8 8\n") + bad + "\n");
+      FAIL() << "must throw";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ModelParser, RoundTripThroughFormat) {
   ModelConfig config;
   config.weight_seed = 0;

@@ -168,6 +168,23 @@ TEST(Serialize, BranchingDagRoundTrip) {
             std::bit_cast<std::uint32_t>(params.alpha));
 }
 
+TEST(Serialize, Int8OptInRoundTrips) {
+  // The opt-in is part of the model text, so an int8 variant reloads as
+  // int8 and computes the saved network's outputs bit for bit.
+  ModelConfig config;
+  config.weight_seed = 9;
+  Network net = BuildTinyCnn(config);
+  net.SetInt8Execution(true);
+  Network loaded = RoundTrip(net);
+  Network from_file = FileRoundTrip(net);
+  for (const std::string& name : net.WeightedLayerNames()) {
+    EXPECT_TRUE(loaded.FindLayer(name)->Int8Execution()) << name;
+    EXPECT_TRUE(from_file.FindLayer(name)->Int8Execution()) << name;
+  }
+  ExpectSameNetwork(net, loaded);
+  ExpectSameNetwork(net, from_file);
+}
+
 TEST(Serialize, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/ccperf_net.bin";
   ModelConfig config;

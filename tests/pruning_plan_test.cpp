@@ -91,13 +91,6 @@ TEST(ApplyPlan, SparsityReportReflectsPlan) {
   EXPECT_EQ(after.total_parameters, before.total_parameters);
 }
 
-TEST(VariantGenerator, SingleLayerSweep) {
-  const auto plans = SingleLayerSweep("conv1", {0.0, 0.3, 0.6});
-  ASSERT_EQ(plans.size(), 3u);
-  EXPECT_TRUE(plans[0].IsNoop());
-  EXPECT_DOUBLE_EQ(plans[2].RatioFor("conv1"), 0.6);
-}
-
 TEST(VariantGenerator, CartesianSweepCountsAndCoverage) {
   const auto plans = CartesianSweep({"conv1", "conv2"},
                                     {{0.0, 0.1, 0.2}, {0.0, 0.5}});

@@ -16,7 +16,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
-#include "core/calibration.h"
 #include "nn/model_parser.h"
 #include "nn/model_zoo.h"
 #include "nn/serialize.h"
@@ -190,57 +189,6 @@ TEST_P(FaultCsvFuzz, TruncationRejectedOrValid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultCsvFuzz, ::testing::Values(7, 8, 9));
-
-class CurveCsvFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CurveCsvFuzz, CorruptedCalibrationCurvesThrowOrParseValid) {
-  const std::string pristine =
-      "ratio,seconds,top1,top5\n"
-      "0,1.20,0.57,0.80\n"
-      "0.1,1.15,0.565,0.795\n"
-      "0.3,1.02,0.55,0.78\n"
-      "0.5,0.90,0.52,0.74\n"
-      "0.7,0.77,0.44,0.66\n"
-      "0.9,0.64,0.25,0.41\n";
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 60; ++trial) {
-    std::string text = pristine;
-    const int flips = 1 + static_cast<int>(rng.NextIndex(6));
-    for (int f = 0; f < flips; ++f) {
-      const auto pos = rng.NextIndex(text.size());
-      text[pos] = static_cast<char>(32 + rng.NextIndex(95));
-    }
-    try {
-      const auto curve = core::ParseCurveCsv(text);
-      // Accepted input must satisfy the documented invariants.
-      for (std::size_t i = 0; i < curve.size(); ++i) {
-        ASSERT_GE(curve[i].ratio, 0.0);
-        ASSERT_LT(curve[i].ratio, 1.0);
-        ASSERT_GE(curve[i].seconds, 0.0);
-        if (i > 0) ASSERT_GT(curve[i].ratio, curve[i - 1].ratio);
-      }
-    } catch (const CheckError&) {
-      // Malformed calibration input rejected cleanly — it must never
-      // poison a fit silently.
-    }
-  }
-}
-
-TEST_P(CurveCsvFuzz, OutOfOrderRatiosRejected) {
-  Rng rng(GetParam() ^ 0xc0de);
-  for (int trial = 0; trial < 20; ++trial) {
-    // Two ascending points followed by a regression: always invalid.
-    const double a = 0.1 + 0.4 * rng.NextDouble();
-    std::stringstream text;
-    text << "ratio,seconds,top1,top5\n"
-         << "0,1.0,0.5,0.8\n"
-         << a << ",0.9,0.5,0.79\n"
-         << a * 0.5 << ",0.8,0.49,0.78\n";
-    EXPECT_THROW((void)core::ParseCurveCsv(text.str()), CheckError);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CurveCsvFuzz, ::testing::Values(4, 5, 6));
 
 // ------------------------------------------------------- snapshot fuzzing
 

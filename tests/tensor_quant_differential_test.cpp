@@ -281,7 +281,6 @@ TEST(QuantDifferential, CachedPackReusedAcrossMultiplies) {
   EXPECT_EQ(packed.M(), m);
   EXPECT_EQ(packed.K(), k);
   EXPECT_FALSE(packed.Empty());
-  EXPECT_GT(packed.PackedBytes(), m * k);  // 1 byte/value + 4 bytes/row scale
   ASSERT_EQ(packed.RowScales().size(), static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
     EXPECT_EQ(packed.RowScales()[static_cast<std::size_t>(i)],

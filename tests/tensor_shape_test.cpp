@@ -21,14 +21,6 @@ TEST(Shape, NumElements) {
   EXPECT_EQ((Shape{5, 0, 3}).NumElements(), 0);
 }
 
-TEST(Shape, RowMajorStrides) {
-  const Shape s{2, 3, 4, 5};
-  EXPECT_EQ(s.Stride(3), 1);
-  EXPECT_EQ(s.Stride(2), 5);
-  EXPECT_EQ(s.Stride(1), 20);
-  EXPECT_EQ(s.Stride(0), 60);
-}
-
 TEST(Shape, Equality) {
   EXPECT_EQ((Shape{1, 2}), (Shape{1, 2}));
   EXPECT_NE((Shape{1, 2}), (Shape{2, 1}));
@@ -47,7 +39,6 @@ TEST(Shape, RejectsNegativeDims) {
 TEST(Shape, AxisOutOfRangeThrows) {
   const Shape s{2, 3};
   EXPECT_THROW(s.Dim(2), CheckError);
-  EXPECT_THROW(s.Stride(5), CheckError);
 }
 
 TEST(Shape, VectorConstructor) {

@@ -48,11 +48,6 @@ TEST(Csr, SparsityComputation) {
   EXPECT_DOUBLE_EQ(m.Sparsity(), 0.75);
 }
 
-TEST(Csr, FromTensorRequiresRank2) {
-  const Tensor t(Shape{2, 2, 2});
-  EXPECT_THROW(CsrMatrix::FromTensor(t), CheckError);
-}
-
 TEST(Csr, FromDenseRejectsSizeMismatch) {
   EXPECT_THROW(CsrMatrix::FromDense(2, 2, std::vector<float>(3)), CheckError);
 }

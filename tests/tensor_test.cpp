@@ -51,16 +51,6 @@ TEST(Tensor, At4BoundsChecked) {
   EXPECT_THROW(t.At4(0, 0, 3, 0), CheckError);
 }
 
-TEST(Tensor, ReshapedPreservesData) {
-  Tensor t(Shape{2, 3});
-  for (std::int64_t i = 0; i < 6; ++i) t.Set(i, static_cast<float>(i));
-  const Tensor r = t.Reshaped(Shape{3, 2});
-  for (std::int64_t i = 0; i < 6; ++i) {
-    EXPECT_FLOAT_EQ(r.At(i), static_cast<float>(i));
-  }
-  EXPECT_THROW(t.Reshaped(Shape{7}), CheckError);
-}
-
 TEST(Tensor, FillGaussianDeterministic) {
   Rng a(99), b(99);
   Tensor x(Shape{100}), y(Shape{100});
