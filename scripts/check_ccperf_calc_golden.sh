@@ -3,6 +3,9 @@
 # and of its SDC variant (`--top 0 --terse`, 480 rows each), and the top 50
 # rows by CAR of both spaces without the frontier filter (`--no-filter --top
 # 50 --terse`), and byte-compares each with tests/golden/ccperf_calc_*.txt.
+# The frontiers run twice more against the same files: once serially, and
+# once in odd 4099-id blocks whose edges (and so the pool's chunk edges)
+# fall inside runs of ids that share cost stages.
 # The sweep is seeded and bitwise deterministic, so any difference means the
 # enumerator, the cost model, the Pareto filter or the top-N stream changed
 # what it computes. A change that means to move these rows rewrites the
@@ -36,6 +39,8 @@ check() {  # check <golden name> <ccperf_calc flags>...
 }
 check default --top 0 --terse
 check sdc --top 0 --terse --sdc
+check default --top 0 --terse --serial
+check sdc --top 0 --terse --sdc --block 4099
 check no_filter --no-filter --top 50 --terse
 check no_filter_sdc --no-filter --top 50 --terse --sdc
 exit "$status"

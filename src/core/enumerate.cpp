@@ -325,117 +325,197 @@ ArchitectureEvaluator::ArchitectureEvaluator(const cloud::CloudSimulator& sim,
   }
 }
 
-bool ArchitectureEvaluator::Evaluate(std::uint64_t id, std::int64_t images,
-                                     ArchMetrics& out) const {
-  CCPERF_CHECK(images >= 1, "need at least one image");
-  const AxisPoint p = sizes_.Decode(id);
-  const VariantSpec& variant = space_.Variants()[p.variant];
-  const cloud::InstanceType& type = *types_[p.type];
-  const int count = space_.Counts()[p.count];
-  const std::int64_t batch = space_.Batches()[p.batch];
-  const PurchaseOption purchase = space_.PurchaseOptions()[p.purchase];
-  const CheckpointOption& ckpt = space_.CheckpointOptions()[p.checkpoint];
-  const DegradationOption& degr = space_.DegradationOptions()[p.degradation];
-  const SdcOption& sdc = space_.SdcOptions()[p.sdc];
+namespace {
 
-  if (purchase == PurchaseOption::kSpot &&
-      type.spot_price_per_hour <= UsdPerHour(0.0)) {
-    return false;  // no spot market for this type
-  }
+// Axis positions in the flat id, slowest first.
+enum Axis : int {
+  kVariantAxis,
+  kTypeAxis,
+  kCountAxis,
+  kBatchAxis,
+  kPurchaseAxis,
+  kCheckpointAxis,
+  kDegradationAxis,
+  kSdcAxis,
+};
 
-  // Eqs. 2/4 for a homogeneous fleet: equal split with the remainder going
-  // to the first instances, T = the largest share's time (matches
-  // CloudSimulator::Run for a single-type config, proven in tests).
-  const auto fleet = static_cast<std::int64_t>(count);
-  const std::int64_t base_share = images / fleet;
-  const std::int64_t max_share = base_share + (images % fleet > 0 ? 1 : 0);
-  const Seconds base_time =
-      sim_.InstanceSeconds(type, variant.perf, max_share, batch);
-  const double base_seconds = base_time.value();
-
-  ArchMetrics m;
-  m.top1 = variant.top1;
-  m.top5 = variant.top5;
-
-  if (purchase == PurchaseOption::kOnDemand) {
-    m.seconds = base_time;
-    m.cost_usd = cloud::ProratedCost(base_time,
-                                     type.price_per_hour * count);
-    m.goodput = 1.0;
-    m.interruption_risk = 0.0;
-    return FinishWithSdc(m, sdc, type, purchase, count, base_time, out);
-  }
-
-  // Spot: preemptions arrive Poisson at `rate` per instance-hour.
-  const double fleet_rate = preemption_rate_.value() * count;
-  double productive_s = base_seconds;  // base + snapshot overhead
-  double replay_s = 0.0;               // lost work replayed after preemptions
-  double reprovision_s = 0.0;          // restart delay, not replayable work
-  if (!ckpt.enabled) {
-    // No snapshots: every preemption restarts the run from zero — the
-    // classic (e^{λt}-1)/λ expectation (core/metrics.h).
-    const double expected =
-        ExpectedSecondsUnderInterruption(base_time, RatePerHour(fleet_rate))
-            .value();
-    replay_s = expected - base_seconds;
-  } else {
-    const cloud::CheckpointedSpotTerms spot = cloud::ExpectCheckpointedSpotRun(
-        ckpt.policy, base_time, preemption_rate_, count, restart_);
-    productive_s += spot.snapshot_overhead.value();
-    replay_s = spot.lost.value();
-    reprovision_s = spot.reprovision.value();
-  }
-
-  // The degradation policy replays lost windows faster at lower accuracy;
-  // only the replayed fraction of the run is degraded.
-  replay_s /= degr.recompute_speedup;
-  const double expected_s = productive_s + replay_s + reprovision_s;
-  const double degraded_fraction = expected_s > 0.0 ? replay_s / expected_s : 0.0;
-  const double accuracy_scale =
-      1.0 - degraded_fraction * (1.0 - degr.accuracy_factor);
-
-  m.seconds = Seconds(expected_s);
-  m.cost_usd = cloud::ProratedCost(Seconds(expected_s),
-                                   type.spot_price_per_hour * count);
-  m.top1 = variant.top1 * accuracy_scale;
-  m.top5 = variant.top5 * accuracy_scale;
-  m.goodput = expected_s > 0.0 ? base_seconds / expected_s : 1.0;
-  m.interruption_risk = 1.0 - std::exp(-fleet_rate * expected_s / 3600.0);
-  return FinishWithSdc(m, sdc, type, purchase, count, base_time, out);
+/// Steps `p` to the next flat id (the mixed-radix odometer) and returns the
+/// outermost axis that moved.
+Axis Advance(AxisPoint& p, const AxisSizes& sizes) {
+  if (++p.sdc < sizes.sdc) return kSdcAxis;
+  p.sdc = 0;
+  if (++p.degradation < sizes.degradation) return kDegradationAxis;
+  p.degradation = 0;
+  if (++p.checkpoint < sizes.checkpoint) return kCheckpointAxis;
+  p.checkpoint = 0;
+  if (++p.purchase < sizes.purchase) return kPurchaseAxis;
+  p.purchase = 0;
+  if (++p.batch < sizes.batch) return kBatchAxis;
+  p.batch = 0;
+  if (++p.count < sizes.count) return kCountAxis;
+  p.count = 0;
+  if (++p.type < sizes.type) return kTypeAxis;
+  p.type = 0;
+  ++p.variant;
+  return kVariantAxis;
 }
 
-bool ArchitectureEvaluator::FinishWithSdc(ArchMetrics& m, const SdcOption& sdc,
-                                          const cloud::InstanceType& type,
-                                          PurchaseOption purchase, int count,
-                                          Seconds base_seconds,
-                                          ArchMetrics& out) const {
+/// The SDC step, run on every row: writes `priced` with the row's SDC policy
+/// applied (overhead into seconds/cost, escapes into delivered accuracy) to
+/// `out`.
+void FinishWithSdc(const ArchMetrics& priced, const SdcOption& sdc,
+                   const cloud::InstanceType& type, PurchaseOption purchase,
+                   int count, Seconds base_seconds, ArchMetrics& out) {
+  out = priced;
   if (sdc.policy.kind == cloud::SdcPolicyKind::kOff) {
     // SDC not modeled: delivered == effective, nothing else touched, so the
     // row is bitwise identical to the pre-SDC evaluator.
-    m.delivered_top1 = m.top1;
-    m.delivered_top5 = m.top5;
-    out = m;
-    return true;
+    out.delivered_top1 = out.top1;
+    out.delivered_top5 = out.top5;
+    return;
   }
   const cloud::SdcAssessment assess =
-      cloud::AssessSdc(sdc.policy, type.sdc_rate_per_hour, m.seconds);
+      cloud::AssessSdc(sdc.policy, type.sdc_rate_per_hour, out.seconds);
   // Detection machinery and redone work stretch the run, which re-bills
   // through the purchase option's hourly rate (the paper's Eq. 3-4 cost).
-  m.seconds *= 1.0 + assess.time_overhead;
+  out.seconds *= 1.0 + assess.time_overhead;
   const UsdPerHour hourly = (purchase == PurchaseOption::kOnDemand
                                  ? type.price_per_hour
                                  : type.spot_price_per_hour) *
                             count;
-  m.cost_usd = cloud::ProratedCost(m.seconds, hourly);
-  m.goodput = m.seconds > Seconds(0.0) ? base_seconds / m.seconds : 1.0;
-  m.delivered_top1 = cloud::DeliveredAccuracy(m.top1, assess.escape_fraction,
-                                              cloud::kCorruptTop1Factor);
-  m.delivered_top5 = cloud::DeliveredAccuracy(m.top5, assess.escape_fraction,
-                                              cloud::kCorruptTop5Factor);
-  m.sdc_escape_rate = assess.escape_fraction;
-  m.detection_overhead = assess.time_overhead;
-  out = m;
-  return true;
+  out.cost_usd = cloud::ProratedCost(out.seconds, hourly);
+  out.goodput = out.seconds > Seconds(0.0) ? base_seconds / out.seconds : 1.0;
+  out.delivered_top1 = cloud::DeliveredAccuracy(
+      out.top1, assess.escape_fraction, cloud::kCorruptTop1Factor);
+  out.delivered_top5 = cloud::DeliveredAccuracy(
+      out.top5, assess.escape_fraction, cloud::kCorruptTop5Factor);
+  out.sdc_escape_rate = assess.escape_fraction;
+  out.detection_overhead = assess.time_overhead;
+}
+
+}  // namespace
+
+void ArchitectureEvaluator::EvaluateRange(std::uint64_t begin,
+                                          std::int64_t images,
+                                          std::span<char> feasible,
+                                          std::span<ArchMetrics> rows) const {
+  CCPERF_CHECK(images >= 1, "need at least one image");
+  CCPERF_CHECK(feasible.size() == rows.size(), "feasible span has ",
+               feasible.size(), " entries for ", rows.size(), " rows");
+  const std::uint64_t n = rows.size();
+  CCPERF_CHECK(begin <= sizes_.total && n <= sizes_.total - begin, "ids ",
+               begin, " + ", n, " run past the space's ", sizes_.total);
+  if (n == 0) return;
+
+  // Each stage's values hold while the axes it reads hold still; `moved`
+  // (the outermost axis that changed since the last row) says which stages
+  // to rerun. Every stage makes the calls one id alone would make, in the
+  // same order, so every row is bitwise the one-id row.
+  AxisPoint p = sizes_.Decode(begin);
+  Axis moved = kVariantAxis;  // nothing computed yet
+  // Base stage (variant, type, count, batch).
+  const VariantSpec* variant = nullptr;
+  const cloud::InstanceType* type = nullptr;
+  int count = 0;
+  Seconds base_time;
+  double fleet_rate = 0.0;  // spot preemptions per hour across the fleet
+  ArchMetrics on_demand;    // the on-demand row before SDC
+  // Spot stage (+ purchase, checkpoint).
+  double productive_s = 0.0;   // base + snapshot overhead
+  double lost_s = 0.0;         // lost work, before the degradation speedup
+  double reprovision_s = 0.0;  // restart delay, not replayable work
+  // Degradation stage (+ degradation): the spot row before SDC.
+  ArchMetrics spot;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0) moved = Advance(p, sizes_);
+    if (moved <= kBatchAxis) {
+      variant = &space_.Variants()[p.variant];
+      type = types_[p.type];
+      count = space_.Counts()[p.count];
+      // Eqs. 2/4 for a homogeneous fleet: equal split with the remainder
+      // going to the first instances, T = the largest share's time (matches
+      // CloudSimulator::Run for a single-type config, proven in tests).
+      const auto fleet = static_cast<std::int64_t>(count);
+      const std::int64_t base_share = images / fleet;
+      const std::int64_t max_share = base_share + (images % fleet > 0 ? 1 : 0);
+      base_time = sim_.InstanceSeconds(*type, variant->perf, max_share,
+                                       space_.Batches()[p.batch]);
+      // Spot: preemptions arrive Poisson at `rate` per instance-hour.
+      fleet_rate = preemption_rate_.value() * count;
+      on_demand = ArchMetrics{};
+      on_demand.seconds = base_time;
+      on_demand.cost_usd =
+          cloud::ProratedCost(base_time, type->price_per_hour * count);
+      on_demand.top1 = variant->top1;
+      on_demand.top5 = variant->top5;
+    }
+    const PurchaseOption purchase = space_.PurchaseOptions()[p.purchase];
+    const SdcOption& sdc = space_.SdcOptions()[p.sdc];
+    if (purchase == PurchaseOption::kOnDemand) {
+      FinishWithSdc(on_demand, sdc, *type, purchase, count, base_time,
+                    rows[i]);
+      feasible[i] = 1;
+      continue;
+    }
+    if (type->spot_price_per_hour <= UsdPerHour(0.0)) {
+      feasible[i] = 0;  // no spot market for this type
+      continue;
+    }
+    // Past the purchase axis, the last row had this row's type and purchase,
+    // so it ran (or kept) the stages below on the same inputs.
+    if (moved <= kCheckpointAxis) {
+      const CheckpointOption& ckpt = space_.CheckpointOptions()[p.checkpoint];
+      const double base_seconds = base_time.value();
+      productive_s = base_seconds;
+      reprovision_s = 0.0;
+      if (!ckpt.enabled) {
+        // No snapshots: every preemption restarts the run from zero — the
+        // classic (e^{λt}-1)/λ expectation (core/metrics.h).
+        const double expected =
+            ExpectedSecondsUnderInterruption(base_time, RatePerHour(fleet_rate))
+                .value();
+        lost_s = expected - base_seconds;
+      } else {
+        const cloud::CheckpointedSpotTerms terms =
+            cloud::ExpectCheckpointedSpotRun(ckpt.policy, base_time,
+                                             preemption_rate_, count, restart_);
+        productive_s += terms.snapshot_overhead.value();
+        lost_s = terms.lost.value();
+        reprovision_s = terms.reprovision.value();
+      }
+    }
+    if (moved <= kDegradationAxis) {
+      // The degradation policy replays lost windows faster at lower
+      // accuracy; only the replayed fraction of the run is degraded.
+      const DegradationOption& degr =
+          space_.DegradationOptions()[p.degradation];
+      const double replay_s = lost_s / degr.recompute_speedup;
+      const double expected_s = productive_s + replay_s + reprovision_s;
+      const double degraded_fraction =
+          expected_s > 0.0 ? replay_s / expected_s : 0.0;
+      const double accuracy_scale =
+          1.0 - degraded_fraction * (1.0 - degr.accuracy_factor);
+      spot = ArchMetrics{};
+      spot.seconds = Seconds(expected_s);
+      spot.cost_usd = cloud::ProratedCost(Seconds(expected_s),
+                                          type->spot_price_per_hour * count);
+      spot.top1 = variant->top1 * accuracy_scale;
+      spot.top5 = variant->top5 * accuracy_scale;
+      spot.goodput = expected_s > 0.0 ? base_time.value() / expected_s : 1.0;
+      spot.interruption_risk =
+          1.0 - std::exp(-fleet_rate * expected_s / 3600.0);
+    }
+    FinishWithSdc(spot, sdc, *type, purchase, count, base_time, rows[i]);
+    feasible[i] = 1;
+  }
+}
+
+bool ArchitectureEvaluator::Evaluate(std::uint64_t id, std::int64_t images,
+                                     ArchMetrics& out) const {
+  char feasible = 0;
+  EvaluateRange(id, images, std::span<char>(&feasible, 1),
+                std::span<ArchMetrics>(&out, 1));
+  return feasible != 0;
 }
 
 // --- EnumerateFrontier -------------------------------------------------------
@@ -485,13 +565,19 @@ void SweepSpace(const ArchitectureEvaluator& evaluator,
   for (std::uint64_t begin = 0; begin < total; begin += options.block) {
     const auto n = static_cast<std::size_t>(
         std::min<std::uint64_t>(options.block, total - begin));
-    ParallelFor(0, n, [&](std::size_t i) {
-      ArchMetrics m;
-      const bool ok =
-          evaluator.Evaluate(begin + i, options.images, m) &&
-          m.seconds <= options.deadline_s && m.cost_usd <= options.budget_usd;
-      keep[i] = ok ? 1 : 0;
-      if (ok) slot[i] = m;  // slot-per-task: no cross-task writes
+    // One range per chunk, each writing only its own slots.
+    ParallelForChunks(0, n, [&](std::size_t lo, std::size_t hi) {
+      const std::size_t len = hi - lo;
+      evaluator.EvaluateRange(begin + lo, options.images,
+                              std::span<char>(keep).subspan(lo, len),
+                              std::span<ArchMetrics>(slot).subspan(lo, len));
+      for (std::size_t i = lo; i < hi; ++i) {
+        const ArchMetrics& m = slot[i];  // stale where keep[i] is 0
+        if (!(m.seconds <= options.deadline_s &&
+              m.cost_usd <= options.budget_usd)) {
+          keep[i] = 0;
+        }
+      }
     });
     consume(SweepBlock{begin, std::span<const char>(keep.data(), n),
                        std::span<const ArchMetrics>(slot.data(), n)});

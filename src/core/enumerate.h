@@ -12,17 +12,22 @@
 //   MetricRegistry        — registered-once named metrics over ArchMetrics
 //                           (time, cost, top-1/top-5, goodput, interruption
 //                           risk, TAR/CAR) driving CLI sort/filter/CSV.
-//   ArchitectureEvaluator — flat id -> ArchMetrics in stages: Eqs. 1-4 for
-//                           the fleet (CloudSimulator::InstanceSeconds),
-//                           the spot expectation (the one checkpointed-spot
-//                           stage, cloud::ExpectCheckpointedSpotRun, or the
+//   ArchitectureEvaluator — a range of flat ids -> ArchMetrics rows in
+//                           stages, each rerun only when an axis it reads
+//                           moves: Eqs. 1-4 for the fleet
+//                           (CloudSimulator::InstanceSeconds) per (variant,
+//                           type, count, batch); the spot expectation (the
+//                           one checkpointed-spot stage,
+//                           cloud::ExpectCheckpointedSpotRun, or the
 //                           metrics.h restart expectation without
-//                           checkpoints), degradation, then SDC. Pure
-//                           function of the id: bitwise-reproducible.
-//   SweepSpace            — the one block loop: evaluates blocks of ids
-//                           into preassigned slots (slot-per-task
-//                           ParallelFor, bitwise-equal to serial) and hands
-//                           each block to a callback in id order.
+//                           checkpoints) per checkpoint entry; degradation
+//                           per degradation entry; SDC per row. A row is a
+//                           pure function of its id, bitwise the same in
+//                           any range; Evaluate is the one-id range.
+//   SweepSpace            — the one block loop: prices each block with one
+//                           EvaluateRange call per pool chunk into
+//                           preassigned slots (bitwise-equal to serial) and
+//                           hands each block to a callback in id order.
 //   EnumerateFrontier     — SweepSpace feeding the sorted-sweep Pareto
 //                           filter (core/pareto_sweep.h); memory stays
 //                           O(frontier + block), never O(space).
@@ -256,11 +261,12 @@ class ArchitectureSpace {
   std::vector<SdcOption> sdc_;  // empty = implicit {"off"}
 };
 
-/// Prices one flat id through the analytic models. Construction copies the
+/// Prices flat ids through the analytic models. Construction copies the
 /// space, validates it and resolves every instance-type name once (no
 /// validation or string lookups in the hot loop); later edits to the
-/// caller's space do not reach the evaluator. Evaluate is a pure function of
-/// (id, images) — safe to call concurrently and bitwise-reproducible.
+/// caller's space do not reach the evaluator. Each row is a pure function of
+/// (id, images) — safe to compute concurrently and bitwise-reproducible,
+/// whatever range it is computed in.
 class ArchitectureEvaluator {
  public:
   /// `preemption_rate` is per instance; `restart` is the reprovisioning
@@ -270,10 +276,19 @@ class ArchitectureEvaluator {
                         RatePerHour preemption_rate = RatePerHour(0.05),
                         Seconds restart = Seconds(60.0));
 
-  /// False when the combination cannot exist (spot purchase of a type with
-  /// no spot market); `out` untouched then. Deadline/budget feasibility is
-  /// the caller's filter, not this one. Throws CheckError unless
-  /// id < Space().Size().
+  /// Prices the ids [begin, begin + rows.size()). `feasible[i]` is 0 when id
+  /// begin + i cannot exist (spot purchase of a type with no spot market),
+  /// leaving rows[i] untouched, and 1 with rows[i] written otherwise.
+  /// Deadline/budget feasibility is the caller's filter, not this one. Each
+  /// cost stage runs once per run of ids sharing the axes it reads, and every
+  /// row is bitwise what a one-id range gives. Throws CheckError unless the
+  /// spans have one length and the range lies inside [0, Space().Size()).
+  void EvaluateRange(std::uint64_t begin, std::int64_t images,
+                     std::span<char> feasible,
+                     std::span<ArchMetrics> rows) const;
+
+  /// The one-id range: false when id cannot exist, `out` untouched then.
+  /// Throws CheckError unless id < Space().Size().
   [[nodiscard]] bool Evaluate(std::uint64_t id, std::int64_t images,
                               ArchMetrics& out) const;
 
@@ -281,12 +296,6 @@ class ArchitectureEvaluator {
   [[nodiscard]] const ArchitectureSpace& Space() const { return space_; }
 
  private:
-  /// Common tail of Evaluate: applies the row's SDC policy (overhead into
-  /// seconds/cost, escapes into delivered accuracy) and writes `out`.
-  bool FinishWithSdc(ArchMetrics& m, const SdcOption& sdc,
-                     const cloud::InstanceType& type, PurchaseOption purchase,
-                     int count, Seconds base_seconds, ArchMetrics& out) const;
-
   const cloud::CloudSimulator& sim_;
   ArchitectureSpace space_;  // a copy: sizes_ and types_ cannot go stale
   AxisSizes sizes_;          // validated once, at construction
@@ -335,9 +344,10 @@ struct SweepBlock {
 };
 
 /// The one sweep loop: evaluates the whole space in blocks of
-/// `options.block` ids and hands each block to `consume` in id order. Every
-/// id writes a preassigned slot, so parallel and serial (`options.serial`)
-/// sweeps are bitwise-identical.
+/// `options.block` ids, one EvaluateRange call per pool chunk, and hands
+/// each block to `consume` in id order. Every id writes a preassigned slot
+/// and a row does not depend on its range, so parallel and serial
+/// (`options.serial`) sweeps are bitwise-identical.
 void SweepSpace(const ArchitectureEvaluator& evaluator,
                 const EnumerationOptions& options,
                 const std::function<void(const SweepBlock&)>& consume);

@@ -1,5 +1,6 @@
 #include "nn/model_parser.h"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -36,9 +37,30 @@ struct Line {
   int number = 0;
   std::string directive;
   std::string name;
+  std::vector<std::string> dims;  // bare tokens after `input`'s first dim
   std::map<std::string, std::string> keys;
-  std::vector<std::string> from;
 };
+
+/// The keys each directive reads. A key outside its directive's list is an
+/// error, so a misspelt hyper-parameter cannot fall back to its default.
+const std::map<std::string, std::vector<std::string>>& DirectiveKeys() {
+  static const auto* const kKeys =
+      new std::map<std::string, std::vector<std::string>>{
+          {"network", {}},
+          {"input", {}},
+          {"conv",
+           {"out", "kernel", "stride", "pad", "groups", "int8", "from"}},
+          {"fc", {"out", "int8", "from"}},
+          {"maxpool", {"kernel", "stride", "pad", "from"}},
+          {"avgpool", {"kernel", "stride", "pad", "from"}},
+          {"lrn", {"size", "alpha", "beta", "k", "from"}},
+          {"relu", {"from"}},
+          {"softmax", {"from"}},
+          {"dropout", {"from"}},
+          {"concat", {"from"}},
+      };
+  return *kKeys;
+}
 
 std::vector<std::string> SplitWhitespace(const std::string& s) {
   std::istringstream iss(s);
@@ -125,22 +147,26 @@ Line ParseLine(const std::string& raw, int number) {
     line.name = tokens[1];  // network name / first input dim
     first_kv = 2;
   }
+  const auto known = DirectiveKeys().find(line.directive);
+  CCPERF_CHECK(known != DirectiveKeys().end(), "line ", number,
+               ": unknown directive '", line.directive, "'");
+  const std::vector<std::string>& allowed = known->second;
   for (std::size_t i = first_kv; i < tokens.size(); ++i) {
     const auto eq = tokens[i].find('=');
     if (eq == std::string::npos) {
-      // Bare tokens after `input` are extra dims; keep them as keys d2/d3.
+      // Bare tokens after `input` are its other dims.
       CCPERF_CHECK(line.directive == "input", "line ", number,
                    ": expected key=value, got '", tokens[i], "'");
-      line.keys["d" + std::to_string(i)] = tokens[i];
+      line.dims.push_back(tokens[i]);
       continue;
     }
     const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    if (key == "from") {
-      line.from = SplitCommas(value);
-    } else {
-      line.keys[key] = value;
-    }
+    CCPERF_CHECK(std::find(allowed.begin(), allowed.end(), key) !=
+                     allowed.end(),
+                 "line ", number, ": '", line.directive, "' has no key '", key,
+                 "'");
+    CCPERF_CHECK(line.keys.emplace(key, tokens[i].substr(eq + 1)).second,
+                 "line ", number, ": key '", key, "' given twice");
   }
   return line;
 }
@@ -182,7 +208,7 @@ Network ParseModel(const std::string& text, std::uint64_t weight_seed) {
       std::vector<std::int64_t> dims;
       try {
         dims.push_back(std::stoll(line.name));
-        for (const auto& [_, v] : line.keys) dims.push_back(std::stoll(v));
+        for (const auto& d : line.dims) dims.push_back(std::stoll(d));
       } catch (const std::exception&) {
         CCPERF_CHECK(false, "line ", number, ": bad input dims");
       }
@@ -202,7 +228,10 @@ Network ParseModel(const std::string& text, std::uint64_t weight_seed) {
 
     CCPERF_CHECK(seen_input, "line ", number,
                  ": 'input C H W' must precede layers");
-    std::vector<std::string> from = line.from;
+    std::vector<std::string> from;
+    if (const auto it = line.keys.find("from"); it != line.keys.end()) {
+      from = SplitCommas(it->second);
+    }
     if (from.empty()) from.push_back(last_name);
     std::vector<Shape> in_shapes;
     for (const auto& f : from) in_shapes.push_back(shape_of(line, f));
@@ -254,15 +283,10 @@ Network ParseModel(const std::string& text, std::uint64_t weight_seed) {
       layer = std::make_unique<SoftmaxLayer>(line.name);
     } else if (line.directive == "dropout") {
       layer = std::make_unique<DropoutLayer>(line.name);
-    } else if (line.directive == "concat") {
+    } else {  // concat: ParseLine admits no other directive
       layer = std::make_unique<ConcatLayer>(line.name);
-    } else {
-      CCPERF_CHECK(false, "line ", number, ": unknown directive '",
-                   line.directive, "'");
     }
     if (const auto int8 = line.keys.find("int8"); int8 != line.keys.end()) {
-      CCPERF_CHECK(layer->HasWeights(), "line ", number, ": int8= applies to "
-                   "conv and fc layers, not '", line.directive, "'");
       CCPERF_CHECK(int8->second == "0" || int8->second == "1", "line ", number,
                    ": int8 must be 0 or 1, got '", int8->second, "'");
       layer->SetInt8Execution(int8->second == "1");

@@ -1,13 +1,16 @@
 // Tests of the architecture-space enumeration engine (core/enumerate.h):
 // encode/decode inverses, metric-registry contracts, evaluator parity with
 // CloudSimulator::Run and the no-checkpoint restart expectation, every row
-// pinned by CRC, streamed-frontier equality with a materialize-everything
-// oracle, block-size invariance, and bitwise parallel-vs-serial equality.
+// pinned by CRC, one id at a time and in ranges of any length,
+// streamed-frontier equality with a materialize-everything oracle,
+// block-size invariance, and bitwise parallel-vs-serial equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -416,6 +419,92 @@ TEST(Evaluator, EveryRowIsPinned) {
       if (feasible) crc = Crc32Update(crc, &m, sizeof(m));
     }
     EXPECT_EQ(crc, pinned) << images << " images: 0x" << std::hex << crc;
+  }
+}
+
+TEST(Evaluator, RangesReproduceThePinnedRows) {
+  // EvaluateRange runs each cost stage once per run of ids sharing the axes
+  // it reads. Every way of cutting the space into ranges, with range edges
+  // inside those runs (the 7-id first range shifts every later edge), must
+  // give EveryRowIsPinned's CRCs, write every feasible row and leave every
+  // infeasible one untouched.
+  Fixture f;
+  const ArchitectureSpace space = PinSpace(f.profile, f.accuracy);
+  const ArchitectureEvaluator evaluator(f.sim, space, kRate, kRestart);
+  const std::uint64_t size = space.Size();
+  std::vector<char> feasible(size);
+  std::vector<ArchMetrics> rows(size);
+  ArchMetrics poison;
+  std::memset(&poison, 0xa5, sizeof(poison));
+  const std::vector<std::uint64_t> lengths = {1,  2,  5,    17,  18,
+                                              90, 97, 4099, size};
+  for (const auto& [images, pinned] :
+       {std::pair<std::int64_t, std::uint32_t>{2'000, 0x1371fa4cu},
+        std::pair<std::int64_t, std::uint32_t>{1'000'000, 0x1328461au}}) {
+    for (const std::uint64_t length : lengths) {
+      for (const std::uint64_t first : {length, std::uint64_t{7}}) {
+        SCOPED_TRACE(testing::Message() << images << " images, ranges of "
+                                        << length << " after " << first);
+        std::fill(feasible.begin(), feasible.end(), 2);
+        std::fill(rows.begin(), rows.end(), poison);
+        for (std::uint64_t begin = 0; begin < size;) {
+          const std::uint64_t n = std::min(begin == 0 ? first : length,
+                                           size - begin);
+          evaluator.EvaluateRange(
+              begin, images, std::span<char>(feasible).subspan(begin, n),
+              std::span<ArchMetrics>(rows).subspan(begin, n));
+          begin += n;
+        }
+        std::uint32_t crc = 0;
+        for (std::uint64_t id = 0; id < size; ++id) {
+          ASSERT_TRUE(feasible[id] == 0 || feasible[id] == 1) << id;
+          crc = Crc32Update(crc, &feasible[id], 1);
+          if (feasible[id]) {
+            crc = Crc32Update(crc, &rows[id], sizeof(ArchMetrics));
+          } else {
+            ASSERT_TRUE(BitwiseEqual(rows[id], poison)) << id;
+          }
+        }
+        EXPECT_EQ(crc, pinned) << "0x" << std::hex << crc;
+      }
+    }
+  }
+}
+
+TEST(Evaluator, RangeRejectsIdsPastTheSpace) {
+  // A range must end inside the space, also when begin + n wraps past
+  // UINT64_MAX back into it; a rejected or empty range writes nothing.
+  Fixture f;
+  const std::uint64_t size = f.space.Size();
+  std::vector<char> feasible(4, 2);
+  std::vector<ArchMetrics> rows(4);
+  const std::span<char> flags(feasible);
+  const std::span<ArchMetrics> out(rows);
+  EXPECT_THROW(
+      f.evaluator.EvaluateRange(size - 1, 1000, flags.first(2), out.first(2)),
+      CheckError);
+  EXPECT_THROW(
+      f.evaluator.EvaluateRange(size, 1000, flags.first(1), out.first(1)),
+      CheckError);
+  EXPECT_THROW(f.evaluator.EvaluateRange(UINT64_MAX - 1, 1000, flags, out),
+               CheckError);
+  EXPECT_THROW(
+      f.evaluator.EvaluateRange(size + 1, 1000, flags.first(0), out.first(0)),
+      CheckError);
+  EXPECT_THROW(f.evaluator.EvaluateRange(0, 1000, flags.first(2), out),
+               CheckError);
+  f.evaluator.EvaluateRange(0, 1000, flags.first(0), out.first(0));
+  f.evaluator.EvaluateRange(size, 1000, flags.first(0), out.first(0));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(feasible[i], 2) << i;
+    EXPECT_TRUE(BitwiseEqual(rows[i], ArchMetrics{})) << i;
+  }
+  // The space's last ids fit.
+  f.evaluator.EvaluateRange(size - 4, 1000, flags, out);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ArchMetrics m;
+    ASSERT_EQ(f.evaluator.Evaluate(size - 4 + i, 1000, m), feasible[i] == 1);
+    if (feasible[i]) EXPECT_TRUE(BitwiseEqual(m, rows[i])) << i;
   }
 }
 

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -234,6 +236,73 @@ TEST(ModelParser, Int8KeyOptsWeightedLayersIn) {
       EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
           << e.what();
     }
+  }
+}
+
+/// A directive line and the key its error must name.
+using KeyCase = std::pair<std::string, std::string>;
+
+/// Parses `text`, expecting a CheckError that names `line` and `key`.
+void ExpectKeyError(const std::string& text, const char* line,
+                    const std::string& key) {
+  SCOPED_TRACE(text);
+  try {
+    (void)ParseModel(text);
+    ADD_FAILURE() << "parsed";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(line), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(ModelParser, RejectsUnknownKeys) {
+  // Each directive takes only the keys it reads, so a misspelt
+  // hyper-parameter is an error rather than a silent default.
+  const std::string head = "network x\ninput 3 8 8\n";
+  for (const auto& [line, key] : std::vector<KeyCase>{
+           {"conv c out=4 kernal=3 strid=2", "kernal"},
+           {"relu r bogus=7", "bogus"},
+           {"relu r int8=1", "int8"},
+           {"fc f out=5 kernel=3", "kernel"},
+           {"maxpool p kernel=2 groups=2", "groups"},
+           {"avgpool p out=2", "out"},
+           {"lrn n size=5 kernel=3", "kernel"},
+           {"softmax s axis=1", "axis"},
+           {"dropout d ratio=0.5", "ratio"},
+           {"concat c out=4", "out"}}) {
+    ExpectKeyError(head + line + "\n", "line 3", key);
+  }
+  // network and input take no keys; input's bare dims are not keys.
+  ExpectKeyError("network x depth=3\ninput 3 8 8\nrelu r\n", "line 1",
+                 "depth");
+  ExpectKeyError("network x\ninput 3 8 8 from=input\nrelu r\n", "line 2",
+                 "from");
+  ExpectKeyError("network x\ninput 3 8 batch=2\nrelu r\n", "line 2",
+                 "batch");
+  // Every key each directive reads still parses.
+  const Network net = ParseModel(
+      "network every\ninput 4 8 8\n"
+      "conv c out=4 kernel=3 stride=1 pad=1 groups=2 int8=0 from=input\n"
+      "maxpool m kernel=2 stride=2 pad=0 from=c\n"
+      "avgpool a kernel=2 stride=1 pad=0 from=m\n"
+      "lrn n size=3 alpha=0.0001 beta=0.75 k=1 from=a\n"
+      "relu r from=n\ndropout d from=r\nconcat j from=d,r\n"
+      "fc f out=5 int8=1 from=j\nsoftmax s from=f\n");
+  EXPECT_EQ(net.LayerCount(), 9u);
+}
+
+TEST(ModelParser, RejectsRepeatedKeys) {
+  // A key given twice is an error even when both values agree: the
+  // parser does not pick one of them.
+  const std::string head = "network x\ninput 3 8 8\n";
+  for (const auto& [line, key] : std::vector<KeyCase>{
+           {"conv c out=4 kernel=3 kernel=5", "kernel"},
+           {"conv c out=4 out=4", "out"},
+           {"fc f out=5 int8=1 int8=0", "int8"},
+           {"lrn n alpha=1 alpha=1", "alpha"},
+           {"relu r from=input from=input", "from"}}) {
+    ExpectKeyError(head + line + "\n", "line 3", key);
   }
 }
 
