@@ -77,23 +77,32 @@ void BM_GemmReferenceTable1(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmReferenceTable1)->DenseRange(0, 6);
 
-void BM_GemmPackedTable1(benchmark::State& state) {
-  const auto [m, n, k] = kTable1Shapes[state.range(0)];
+// CaffeNet's fc layers at batch 16, as the batched fc layer multiplies
+// them (y^T = W x^T: m = outputs, n = images, k = inputs).
+//   0 fc6  4096 x 16 x 9216
+//   1 fc7  4096 x 16 x 4096
+//   2 fc8  1000 x 16 x 4096
+constexpr std::int64_t kFcBatch16Shapes[][3] = {
+    {4096, 16, 9216}, {4096, 16, 4096}, {1000, 16, 4096}};
+
+// Gemm packs each A panel in place, just before the microkernel reads it.
+void TimeGemm(benchmark::State& state, const std::int64_t (&shape)[3]) {
+  const auto [m, n, k] = shape;
   const auto a = RandomVec(m * k, 1);
   const auto b = RandomVec(k * n, 2);
   std::vector<float> c(static_cast<std::size_t>(m * n));
   for (auto _ : state) {
-    Gemm(m, n, k, a, b, c);  // packs A on the fly
+    Gemm(m, n, k, a, b, c);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   GemmGflops(state, m, n, k);
 }
-BENCHMARK(BM_GemmPackedTable1)->DenseRange(0, 6);
 
-void BM_GemmPrepackedTable1(benchmark::State& state) {
-  // PackA hoisted out of the loop — the per-forward-pass reuse the conv and
-  // fc layers get when one weight pack serves a whole batch.
-  const auto [m, n, k] = kTable1Shapes[state.range(0)];
+// PackA hoisted out of the loop: the per-forward-pass reuse the conv layer
+// gets when one weight pack serves a whole batch.
+void TimePrepacked(benchmark::State& state, const std::int64_t (&shape)[3]) {
+  const auto [m, n, k] = shape;
   const auto a = RandomVec(m * k, 1);
   const auto b = RandomVec(k * n, 2);
   const PackedA packed = PackA(m, k, a);
@@ -101,10 +110,30 @@ void BM_GemmPrepackedTable1(benchmark::State& state) {
   for (auto _ : state) {
     GemmPacked(packed, n, b, c);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   GemmGflops(state, m, n, k);
 }
+
+void BM_GemmPackedTable1(benchmark::State& state) {
+  TimeGemm(state, kTable1Shapes[state.range(0)]);
+}
+BENCHMARK(BM_GemmPackedTable1)->DenseRange(0, 6);
+
+void BM_GemmPrepackedTable1(benchmark::State& state) {
+  TimePrepacked(state, kTable1Shapes[state.range(0)]);
+}
 BENCHMARK(BM_GemmPrepackedTable1)->DenseRange(0, 6);
+
+void BM_GemmPackedFcBatch16(benchmark::State& state) {
+  TimeGemm(state, kFcBatch16Shapes[state.range(0)]);
+}
+BENCHMARK(BM_GemmPackedFcBatch16)->DenseRange(0, 2);
+
+void BM_GemmPrepackedFcBatch16(benchmark::State& state) {
+  TimePrepacked(state, kFcBatch16Shapes[state.range(0)]);
+}
+BENCHMARK(BM_GemmPrepackedFcBatch16)->DenseRange(0, 2);
 
 void BM_SparseMultiply(benchmark::State& state) {
   // conv2-shaped: 256 x 1200 weights against 729 output pixels.

@@ -17,8 +17,9 @@ namespace ccperf::cloud {
 namespace {
 
 // Mean, then p50/p95/p99 by one in-place selection pass over `latencies`
-// (non-empty); the mean comes first so it sums in completion order.
-void SummarizeLatencies(std::vector<double> latencies, ServingReport& report) {
+// (non-empty), which it leaves reordered; the mean comes first so it sums in
+// completion order.
+void SummarizeLatencies(std::span<double> latencies, ServingReport& report) {
   constexpr double kPercentiles[] = {0.50, 0.95, 0.99};
   report.mean_latency_s = MeanOf(latencies);
   const std::vector<double> q = SelectQuantiles(latencies, kPercentiles);
@@ -228,7 +229,7 @@ ServingReport ServingSimulator::SimulateTrace(
         1.0 - static_cast<double>(in_deadline) /
                   static_cast<double>(report.requests);
   }
-  if (!latencies.empty()) SummarizeLatencies(std::move(latencies), report);
+  if (!latencies.empty()) SummarizeLatencies(latencies, report);
   double busy = 0.0;
   for (const auto& gpu : gpus) busy += gpu.busy;
   report.utilization =
@@ -698,10 +699,13 @@ void FaultedServingEngine::Step() {
   }
 }
 
-ServingReport FaultedServingEngine::Finish() const {
+ServingReport FaultedServingEngine::Finish() {
   CCPERF_CHECK(Done(), "Finish() before the serving engine is done");
+  CCPERF_CHECK(!finished_, "Finish() on a finished serving engine");
+  finished_ = true;
   ServingReport report = report_;
   if (arrivals_.empty()) return report;
+  // Selects in place: nothing reads latencies_ after this.
   if (!latencies_.empty()) SummarizeLatencies(latencies_, report);
   report.goodput_per_s = static_cast<double>(in_deadline_) / duration_s_;
   report.accuracy_weighted_goodput =
@@ -782,6 +786,7 @@ std::uint32_t FaultedServingEngine::Fingerprint() const {
 }
 
 std::string FaultedServingEngine::Checkpoint() const {
+  CCPERF_CHECK(!finished_, "Checkpoint() on a finished serving engine");
   SnapshotWriter writer(kServingSnapshotTag);
   // Every payload below plus 1 KiB for the small sections and the framing,
   // so the buffer never regrows: 16 bytes per GPU, 32 per queued copy, 17
@@ -1017,6 +1022,7 @@ void FaultedServingEngine::Restore(const std::string& snapshot) {
   watermark_ = watermark;
   halted_ = halted;
   report_ = new_report;
+  finished_ = false;  // a snapshot is only taken before Finish()
 }
 
 std::vector<double> GenerateDiurnalArrivals(double mean_rate_per_s,

@@ -242,8 +242,11 @@ class FaultedServingEngine {
   /// Monotone watermark of simulated time covered so far — the checkpoint
   /// policies trigger on this.
   [[nodiscard]] double Watermark() const { return watermark_; }
-  /// Final report; requires Done().
-  [[nodiscard]] ServingReport Finish() const;
+  /// Final report; requires Done(). Takes the latency percentiles by
+  /// selecting in place on the engine's own samples, so it runs once: a
+  /// finished engine refuses Finish() and Checkpoint() (and Step(), being
+  /// Done()).
+  [[nodiscard]] ServingReport Finish();
 
   [[nodiscard]] std::string Checkpoint() const;
   void Restore(const std::string& snapshot);
@@ -315,6 +318,7 @@ class FaultedServingEngine {
   double watermark_ = 0.0;
   bool halted_ = false;  // fleet permanently gone or backlog exploded
   ServingReport report_;
+  bool finished_ = false;  // Finish() ran; latencies_ is reordered
 
   // Scratch of Step(), reused so a dispatch allocates nothing; not state.
   std::vector<Pending> batch_;

@@ -360,9 +360,9 @@ Axis Advance(AxisPoint& p, const AxisSizes& sizes) {
   return kVariantAxis;
 }
 
-/// The SDC step, run on every row: writes `priced` with the row's SDC policy
-/// applied (overhead into seconds/cost, escapes into delivered accuracy) to
-/// `out`.
+/// The SDC step, run on every spot row and on the first SDC axis of an
+/// on-demand run: writes `priced` with the row's SDC policy applied
+/// (overhead into seconds/cost, escapes into delivered accuracy) to `out`.
 void FinishWithSdc(const ArchMetrics& priced, const SdcOption& sdc,
                    const cloud::InstanceType& type, PurchaseOption purchase,
                    int count, Seconds base_seconds, ArchMetrics& out) {
@@ -410,7 +410,8 @@ void ArchitectureEvaluator::EvaluateRange(std::uint64_t begin,
   // Each stage's values hold while the axes it reads hold still; `moved`
   // (the outermost axis that changed since the last row) says which stages
   // to rerun. Every stage makes the calls one id alone would make, in the
-  // same order, so every row is bitwise the one-id row.
+  // same order, and a copied row is one those calls already wrote, so every
+  // row is bitwise the one-id row.
   AxisPoint p = sizes_.Decode(begin);
   Axis moved = kVariantAxis;  // nothing computed yet
   // Base stage (variant, type, count, batch).
@@ -426,8 +427,13 @@ void ArchitectureEvaluator::EvaluateRange(std::uint64_t begin,
   double reprovision_s = 0.0;  // restart delay, not replayable work
   // Degradation stage (+ degradation): the spot row before SDC.
   ArchMetrics spot;
+  // First row of the current run of one purchase entry: an on-demand row
+  // reads neither the checkpoint nor the degradation axis, so once the run
+  // holds a full SDC axis, the row one SDC axis back is this row finished.
+  std::size_t purchase_run = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) moved = Advance(p, sizes_);
+    if (moved <= kPurchaseAxis) purchase_run = i;
     if (moved <= kBatchAxis) {
       variant = &space_.Variants()[p.variant];
       type = types_[p.type];
@@ -452,8 +458,12 @@ void ArchitectureEvaluator::EvaluateRange(std::uint64_t begin,
     const PurchaseOption purchase = space_.PurchaseOptions()[p.purchase];
     const SdcOption& sdc = space_.SdcOptions()[p.sdc];
     if (purchase == PurchaseOption::kOnDemand) {
-      FinishWithSdc(on_demand, sdc, *type, purchase, count, base_time,
-                    rows[i]);
+      if (i - purchase_run >= sizes_.sdc) {
+        rows[i] = rows[i - sizes_.sdc];
+      } else {
+        FinishWithSdc(on_demand, sdc, *type, purchase, count, base_time,
+                      rows[i]);
+      }
       feasible[i] = 1;
       continue;
     }

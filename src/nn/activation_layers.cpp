@@ -3,9 +3,36 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 #include "common/check.h"
 
 namespace ccperf::nn {
+
+namespace {
+
+// v = std::max(v, 0.0f) over `data`, bit for bit, without a branch:
+// maxps(0, v) returns its second operand unless 0 > v, so NaN and -0 pass
+// through as they are, as std::max's `v < 0 ? 0 : v` does. Spelled with SSE
+// because GCC compiles the portable loop to a compare and a jump, which
+// mispredicts on conv outputs' random signs.
+void Rectify(std::span<float> data) {
+  float* v = data.data();
+  const std::size_t n = data.size();
+  std::size_t i = 0;
+#if defined(__SSE__)
+  const __m128 zero = _mm_setzero_ps();
+  for (; i + 4 <= n; i += 4) {
+    _mm_storeu_ps(v + i, _mm_max_ps(zero, _mm_loadu_ps(v + i)));
+  }
+  for (; i < n; ++i) _mm_store_ss(v + i, _mm_max_ss(zero, _mm_load_ss(v + i)));
+#endif
+  for (; i < n; ++i) v[i] = std::max(v[i], 0.0f);
+}
+
+}  // namespace
 
 ReluLayer::ReluLayer(std::string name)
     : Layer(std::move(name), LayerKind::kReLU) {}
@@ -22,7 +49,13 @@ Tensor ReluLayer::Forward(const std::vector<const Tensor*>& inputs) const {
 
 Tensor ReluLayer::ForwardInPlace(Tensor&& input) const {
   Tensor out = std::move(input);
-  for (float& v : out.Data()) v = std::max(v, 0.0f);
+  const std::span<float> data = out.Data();
+  const std::int64_t batch = out.GetShape().Dim(0);
+  if (batch == 0) return out;
+  const std::size_t image = data.size() / static_cast<std::size_t>(batch);
+  ForEachImage(batch, [&](std::int64_t b) {
+    Rectify(data.subspan(static_cast<std::size_t>(b) * image, image));
+  });
   return out;
 }
 

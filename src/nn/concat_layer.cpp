@@ -39,7 +39,7 @@ Tensor ConcatLayer::Forward(const std::vector<const Tensor*>& inputs) const {
   const std::int64_t out_chan = out_shape.Dim(1);
   float* dst = out.Data().data();
 
-  for (std::int64_t b = 0; b < batch; ++b) {
+  ForEachImage(batch, [&](std::int64_t b) {
     std::int64_t chan_off = 0;
     for (const Tensor* t : inputs) {
       const std::int64_t c = t->GetShape().Dim(1);
@@ -48,7 +48,7 @@ Tensor ConcatLayer::Forward(const std::vector<const Tensor*>& inputs) const {
                   static_cast<std::size_t>(c * plane) * sizeof(float));
       chan_off += c;
     }
-  }
+  });
   return out;
 }
 

@@ -66,8 +66,6 @@ Tensor ConvLayer::Forward(const std::vector<const Tensor*>& inputs) const {
   // [patch, out_pixels] column matrix, so it goes to the multiply as is.
   const bool image_is_columns =
       params_.kernel == 1 && params_.stride == 1 && params_.pad == 0;
-  std::vector<float> columns(
-      image_is_columns ? 0 : static_cast<std::size_t>(patch * out_pixels));
   const std::span<const float> w = weights_.Data();
   const std::span<const float> b = bias_.Data();
   std::span<float> o = out.Data();
@@ -90,7 +88,11 @@ Tensor ConvLayer::Forward(const std::vector<const Tensor*>& inputs) const {
     }
   }
 
-  for (std::int64_t img = 0; img < batch; ++img) {
+  // Each image's task runs its groups in order, with a column buffer of
+  // its own.
+  ForEachImage(batch, [&](std::int64_t img) {
+    std::vector<float> columns(
+        image_is_columns ? 0 : static_cast<std::size_t>(patch * out_pixels));
     for (std::int64_t grp = 0; grp < groups; ++grp) {
       const std::int64_t in_off = (img * in_channels_ + grp * group_in) * in_plane;
       std::span<const float> cols =
@@ -132,7 +134,7 @@ Tensor ConvLayer::Forward(const std::vector<const Tensor*>& inputs) const {
         for (std::int64_t p = 0; p < out_pixels; ++p) row[p] += bias_v;
       }
     }
-  }
+  });
   return out;
 }
 

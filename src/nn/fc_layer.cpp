@@ -38,12 +38,12 @@ Tensor FcLayer::Forward(const std::vector<const Tensor*>& inputs) const {
 
   if (batch > 1) {
     // Batched fast path: y^T[out, batch] = W[out, in] * x^T[in, batch].
-    // Orienting the product this way makes the weight matrix — invariant for
-    // the duration of the pass — the stationary A operand (packed panels for
-    // the dense GEMM, the cached CSR/BSR build for the sparse kernels), so
-    // one blocked multiply serves the whole batch instead of a per-sample
-    // vector multiply. The two transposes are O(batch * (in + out)) against
-    // the multiply's O(batch * in * out).
+    // Orienting the product this way makes the weight matrix the stationary
+    // A operand (streamed once, each panel packed just before the dense
+    // microkernel reads it; the cached CSR/BSR build for the sparse
+    // kernels), so one blocked multiply serves the whole batch instead of a
+    // per-sample vector multiply. The two transposes are
+    // O(batch * (in + out)) against the multiply's O(batch * in * out).
     std::vector<float> xt(static_cast<std::size_t>(in_features_ * batch));
     for (std::int64_t img = 0; img < batch; ++img) {
       for (std::int64_t f = 0; f < in_features_; ++f) {
@@ -61,12 +61,9 @@ Tensor FcLayer::Forward(const std::vector<const Tensor*>& inputs) const {
       case KernelFormat::kBsr:
         bsr_.MultiplyDense(xt, batch, yt);
         break;
-      case KernelFormat::kFloat: {
-        const PackedA packed =
-            PackA(out_features_, in_features_, weights_.Data());
-        GemmPacked(packed, batch, xt, yt);
+      case KernelFormat::kFloat:
+        Gemm(out_features_, batch, in_features_, weights_.Data(), xt, yt);
         break;
-      }
       case KernelFormat::kInt8:
         GemmInt8(int8_, batch, xt, yt, {.bias = b});
         break;

@@ -1,6 +1,7 @@
 #include "nn/layer.h"
 
 #include "common/check.h"
+#include "common/threading.h"
 
 namespace ccperf::nn {
 
@@ -18,6 +19,13 @@ const char* LayerKindName(LayerKind kind) {
     case LayerKind::kDropout: return "dropout";
   }
   return "?";
+}
+
+void ForEachImage(std::int64_t batch,
+                  const std::function<void(std::int64_t)>& fn) {
+  ParallelFor(
+      0, static_cast<std::size_t>(batch),
+      [&fn](std::size_t img) { fn(static_cast<std::int64_t>(img)); }, 1);
 }
 
 Layer::Layer(std::string name, LayerKind kind)

@@ -5,6 +5,8 @@
 // pruning toolkit and rebuild their sparse execution state when notified.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +30,16 @@ enum class LayerKind {
 
 /// Human-readable name of a layer kind ("conv", "fc", ...).
 const char* LayerKindName(LayerKind kind);
+
+/// The image loop of an image-wise layer: runs fn(img) for img in
+/// [0, batch). At batch >= 2 each image is one pool task, and the kernels it
+/// calls run inline on its worker (as nested parallel loops do), making the
+/// calls a one-image pass makes on the same inputs; so an image's output
+/// bits depend on neither the batch nor the pool size, and the pool joins
+/// once per layer. A one-image batch runs on the caller, whose kernels use
+/// the pool themselves.
+void ForEachImage(std::int64_t batch,
+                  const std::function<void(std::int64_t)>& fn);
 
 /// Static cost of executing a layer once for a given input shape.
 struct LayerCost {

@@ -38,7 +38,7 @@ Tensor LrnLayer::Forward(const std::vector<const Tensor*>& inputs) const {
   // k + alpha_over_n * ss into an FMA, which moves output bits.
   const float* src = in.Data().data();
   float* dst = out.Data().data();
-  for (std::int64_t b = 0; b < batch; ++b) {
+  ForEachImage(batch, [&](std::int64_t b) {
     const float* img = src + b * channels * plane;
     float* oimg = dst + b * channels * plane;
     for (std::int64_t c = 0; c < channels; ++c) {
@@ -56,7 +56,7 @@ Tensor LrnLayer::Forward(const std::vector<const Tensor*>& inputs) const {
                 std::pow(params_.k + alpha_over_n * ss[p], -params_.beta);
       }
     }
-  }
+  });
   return out;
 }
 

@@ -4,7 +4,11 @@
 // GoogLeNet's inception branches are expressed naturally. Forward() releases
 // intermediate activations after their last consumer to bound memory, and
 // hands a single-input last consumer its input's storage
-// (Layer::ForwardInPlace), so ReLU and dropout run in place.
+// (Layer::ForwardInPlace), so ReLU and dropout run in place. Layers run one
+// after another; at batch >= 2 the image-wise ones (conv, LRN, pool, ReLU,
+// concat) split their images over the pool, one task per image (see
+// ForEachImage in nn/layer.h), and the batched fc is one pooled multiply.
+// Every image's output bits are independent of the pool size.
 #pragma once
 
 #include <cstdint>

@@ -57,36 +57,38 @@ Tensor PoolLayer::Forward(const std::vector<const Tensor*>& inputs) const {
 
   const float* src = in.Data().data();
   float* dst = out.Data().data();
-  for (std::int64_t nc = 0; nc < batch * channels; ++nc) {
-    const float* plane = src + nc * in_h * in_w;
-    float* oplane = dst + nc * out_h * out_w;
-    for (std::int64_t oh = 0; oh < out_h; ++oh) {
-      const std::int64_t h0 = std::max<std::int64_t>(0, oh * params_.stride - params_.pad);
-      const std::int64_t h1 = std::min(in_h, oh * params_.stride - params_.pad + params_.kernel);
-      for (std::int64_t ow = 0; ow < out_w; ++ow) {
-        const std::int64_t w0 = std::max<std::int64_t>(0, ow * params_.stride - params_.pad);
-        const std::int64_t w1 = std::min(in_w, ow * params_.stride - params_.pad + params_.kernel);
-        if (is_max) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t h = h0; h < h1; ++h) {
-            for (std::int64_t w = w0; w < w1; ++w) {
-              best = std::max(best, plane[h * in_w + w]);
+  ForEachImage(batch, [&](std::int64_t b) {
+    for (std::int64_t nc = b * channels; nc < (b + 1) * channels; ++nc) {
+      const float* plane = src + nc * in_h * in_w;
+      float* oplane = dst + nc * out_h * out_w;
+      for (std::int64_t oh = 0; oh < out_h; ++oh) {
+        const std::int64_t h0 = std::max<std::int64_t>(0, oh * params_.stride - params_.pad);
+        const std::int64_t h1 = std::min(in_h, oh * params_.stride - params_.pad + params_.kernel);
+        for (std::int64_t ow = 0; ow < out_w; ++ow) {
+          const std::int64_t w0 = std::max<std::int64_t>(0, ow * params_.stride - params_.pad);
+          const std::int64_t w1 = std::min(in_w, ow * params_.stride - params_.pad + params_.kernel);
+          if (is_max) {
+            float best = -std::numeric_limits<float>::infinity();
+            for (std::int64_t h = h0; h < h1; ++h) {
+              for (std::int64_t w = w0; w < w1; ++w) {
+                best = std::max(best, plane[h * in_w + w]);
+              }
             }
-          }
-          oplane[oh * out_w + ow] = best;
-        } else {
-          float sum = 0.0f;
-          const std::int64_t count = (h1 - h0) * (w1 - w0);
-          for (std::int64_t h = h0; h < h1; ++h) {
-            for (std::int64_t w = w0; w < w1; ++w) {
-              sum += plane[h * in_w + w];
+            oplane[oh * out_w + ow] = best;
+          } else {
+            float sum = 0.0f;
+            const std::int64_t count = (h1 - h0) * (w1 - w0);
+            for (std::int64_t h = h0; h < h1; ++h) {
+              for (std::int64_t w = w0; w < w1; ++w) {
+                sum += plane[h * in_w + w];
+              }
             }
+            oplane[oh * out_w + ow] = sum / static_cast<float>(count);
           }
-          oplane[oh * out_w + ow] = sum / static_cast<float>(count);
         }
       }
     }
-  }
+  });
   return out;
 }
 

@@ -106,6 +106,93 @@ void GemmRowPanel(std::int64_t row_lo, std::int64_t row_hi, std::int64_t n,
   }
 }
 
+// Writes the kMr x kc A panel whose rows start at `a` (row stride lda) in
+// the microkernel's k-major order; rows mv..kMr are zero, and multiply into
+// accumulator lanes the write-back discards.
+void PackPanel(const float* CCPERF_GEMM_RESTRICT a, std::int64_t lda,
+               std::int64_t mv, std::int64_t kc,
+               float* CCPERF_GEMM_RESTRICT panel) {
+  for (std::int64_t r = 0; r < mv; ++r) {
+    const float* arow = a + r * lda;
+    for (std::int64_t kk = 0; kk < kc; ++kk) panel[kk * kMr + r] = arow[kk];
+  }
+  for (std::int64_t r = mv; r < kMr; ++r) {
+    for (std::int64_t kk = 0; kk < kc; ++kk) panel[kk * kMr + r] = 0.0f;
+  }
+}
+
+// The blocked multiply C[m,n] = A[m,k] * B[k,n] behind both public entry
+// points. An A panel comes from `packed` (PackA's layout) when it is
+// non-null; otherwise the task packs it from row-major `a` into a buffer of
+// its own just before the microkernel reads it. Either way the microkernel
+// sees the same panel bytes, so Gemm and GemmPacked(PackA(a)) agree bitwise.
+void GemmBlocked(std::int64_t m, std::int64_t n, std::int64_t k,
+                 const float* packed, const float* a, const float* bsrc,
+                 std::span<float> c) {
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    std::fill(c.begin(), c.end(), 0.0f);
+    return;
+  }
+  float* cp = c.data();
+  const std::int64_t panels = (m + kMr - 1) / kMr;
+  const std::int64_t max_npanels =
+      (std::min(n, kNc) + kNr - 1) / kNr;
+  std::vector<float> bpack(
+      static_cast<std::size_t>(max_npanels * kNr * std::min(k, kKc)));
+  float* bpk = bpack.data();
+
+  for (std::int64_t jc = 0; jc < n; jc += kNc) {
+    const std::int64_t nc_eff = std::min(kNc, n - jc);
+    const std::int64_t npanels = (nc_eff + kNr - 1) / kNr;
+    for (std::int64_t pc = 0; pc < k; pc += kKc) {
+      const std::int64_t kc_eff = std::min(kKc, k - pc);
+      // Pack B[pc:pc+kc, jc:jc+nc] into kNr-wide column panels so the
+      // microkernel reads B contiguously; tail columns are zero-padded.
+      for (std::int64_t jp = 0; jp < npanels; ++jp) {
+        float* panel = bpk + jp * kNr * kc_eff;
+        const std::int64_t j0 = jc + jp * kNr;
+        const std::int64_t nv = std::min(kNr, n - j0);
+        for (std::int64_t kk = 0; kk < kc_eff; ++kk) {
+          const float* srow = bsrc + (pc + kk) * n + j0;
+          float* drow = panel + kk * kNr;
+          std::int64_t j = 0;
+          for (; j < nv; ++j) drow[j] = srow[j];
+          for (; j < kNr; ++j) drow[j] = 0.0f;
+        }
+      }
+      const float* pa_block =
+          packed != nullptr ? packed + panels * kMr * pc : nullptr;
+      const bool first = pc == 0;
+      // Tasks own disjoint mr-panels (disjoint C rows); bpack is read-only
+      // here, so the parallel sweep is race-free and the k-accumulation
+      // order of every C element is independent of the chunking.
+      ParallelForChunks(
+          0, static_cast<std::size_t>(panels),
+          [=](std::size_t lo, std::size_t hi) {
+            float apanel[kMr * kKc];
+            for (std::size_t i = lo; i < hi; ++i) {
+              const std::int64_t row0 = static_cast<std::int64_t>(i) * kMr;
+              const std::int64_t mv = std::min(kMr, m - row0);
+              const float* ap = apanel;
+              if (pa_block != nullptr) {
+                ap = pa_block + row0 * kc_eff;
+              } else {
+                PackPanel(a + row0 * k + pc, k, mv, kc_eff, apanel);
+              }
+              float* crow = cp + row0 * n + jc;
+              for (std::int64_t jp = 0; jp < npanels; ++jp) {
+                const std::int64_t nv = std::min(kNr, nc_eff - jp * kNr);
+                MicroKernel(kc_eff, ap, bpk + jp * kNr * kc_eff,
+                            crow + jp * kNr, n, mv, nv, first);
+              }
+            }
+          },
+          1);
+    }
+  }
+}
+
 }  // namespace
 
 PackedA PackA(std::int64_t m, std::int64_t k, std::span<const float> a) {
@@ -116,23 +203,13 @@ PackedA PackA(std::int64_t m, std::int64_t k, std::span<const float> a) {
   packed.k_ = k;
   if (m == 0 || k == 0) return packed;
   const std::int64_t panels = (m + kMr - 1) / kMr;
-  packed.data_.assign(static_cast<std::size_t>(panels * kMr * k), 0.0f);
-  const float* src = a.data();
-  float* dst = packed.data_.data();
+  packed.data_.resize(static_cast<std::size_t>(panels * kMr * k));
   for (std::int64_t pc = 0; pc < k; pc += kKc) {
     const std::int64_t kc_eff = std::min(kKc, k - pc);
-    float* block = dst + panels * kMr * pc;
+    float* block = packed.data_.data() + panels * kMr * pc;
     for (std::int64_t i = 0; i < panels; ++i) {
-      float* panel = block + i * kMr * kc_eff;
-      const std::int64_t mv = std::min(kMr, m - i * kMr);
-      for (std::int64_t r = 0; r < mv; ++r) {
-        const float* arow = src + (i * kMr + r) * k + pc;
-        for (std::int64_t kk = 0; kk < kc_eff; ++kk) {
-          panel[kk * kMr + r] = arow[kk];
-        }
-      }
-      // Tail rows mv..kMr stay zero from assign(); they multiply into
-      // accumulator lanes the write-back discards.
+      PackPanel(a.data() + i * kMr * k + pc, k, std::min(kMr, m - i * kMr),
+                kc_eff, block + i * kMr * kc_eff);
     }
   }
   return packed;
@@ -165,76 +242,14 @@ void GemmPacked(const PackedA& a, std::int64_t n, std::span<const float> b,
   CCPERF_CHECK(n >= 0, "negative GEMM extent");
   CCPERF_CHECK(static_cast<std::int64_t>(b.size()) == k * n, "B size mismatch");
   CCPERF_CHECK(static_cast<std::int64_t>(c.size()) == m * n, "C size mismatch");
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    return;
-  }
-  const std::int64_t panels = (m + kMr - 1) / kMr;
-  const float* pa = a.data_.data();
-  const float* bsrc = b.data();
-  float* cp = c.data();
-
-  const std::int64_t max_npanels =
-      (std::min(n, kNc) + kNr - 1) / kNr;
-  std::vector<float> bpack(
-      static_cast<std::size_t>(max_npanels * kNr * std::min(k, kKc)));
-  float* bpk = bpack.data();
-
-  for (std::int64_t jc = 0; jc < n; jc += kNc) {
-    const std::int64_t nc_eff = std::min(kNc, n - jc);
-    const std::int64_t npanels = (nc_eff + kNr - 1) / kNr;
-    for (std::int64_t pc = 0; pc < k; pc += kKc) {
-      const std::int64_t kc_eff = std::min(kKc, k - pc);
-      // Pack B[pc:pc+kc, jc:jc+nc] into kNr-wide column panels so the
-      // microkernel reads B contiguously; tail columns are zero-padded.
-      for (std::int64_t jp = 0; jp < npanels; ++jp) {
-        float* panel = bpk + jp * kNr * kc_eff;
-        const std::int64_t j0 = jc + jp * kNr;
-        const std::int64_t nv = std::min(kNr, n - j0);
-        for (std::int64_t kk = 0; kk < kc_eff; ++kk) {
-          const float* srow = bsrc + (pc + kk) * n + j0;
-          float* drow = panel + kk * kNr;
-          std::int64_t j = 0;
-          for (; j < nv; ++j) drow[j] = srow[j];
-          for (; j < kNr; ++j) drow[j] = 0.0f;
-        }
-      }
-      const float* pa_block = pa + panels * kMr * pc;
-      const bool first = pc == 0;
-      // Tasks own disjoint mr-panels (disjoint C rows); bpack is read-only
-      // here, so the parallel sweep is race-free and the k-accumulation
-      // order of every C element is independent of the chunking.
-      ParallelForChunks(
-          0, static_cast<std::size_t>(panels),
-          [=](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              const std::int64_t row0 = static_cast<std::int64_t>(i) * kMr;
-              const float* ap = pa_block + row0 * kc_eff;
-              const std::int64_t mv = std::min(kMr, m - row0);
-              float* crow = cp + row0 * n + jc;
-              for (std::int64_t jp = 0; jp < npanels; ++jp) {
-                const std::int64_t nv = std::min(kNr, nc_eff - jp * kNr);
-                MicroKernel(kc_eff, ap, bpk + jp * kNr * kc_eff,
-                            crow + jp * kNr, n, mv, nv, first);
-              }
-            }
-          },
-          1);
-    }
-  }
+  GemmBlocked(m, n, k, a.data_.data(), nullptr, b.data(), c);
 }
 
 void Gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           std::span<const float> a, std::span<const float> b,
           std::span<float> c) {
   CheckGemmArgs(m, n, k, a, b, c);
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    return;
-  }
-  GemmPacked(PackA(m, k, a), n, b, c);
+  GemmBlocked(m, n, k, nullptr, a.data(), b.data(), c);
 }
 
 void GemmReference(std::int64_t m, std::int64_t n, std::int64_t k,

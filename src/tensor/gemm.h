@@ -2,7 +2,7 @@
 //
 // Gemm is the public entry point: a blocked, packed, register-tiled kernel
 // parallelized over row panels via the global thread pool. PackA lets
-// weight-stationary callers (conv/fc layers) amortize the A-side packing
+// weight-stationary callers (the conv layer) amortize the A-side packing
 // across many multiplies. GemmReference is the previous row-panel kernel,
 // kept as the fast differential-testing oracle; NaiveGemm is the O(MNK)
 // triple loop used as the ground-truth reference in unit tests.
@@ -20,8 +20,8 @@ namespace ccperf {
 /// with PackA and reuse across GemmPacked calls while the matrix is
 /// unchanged. ConvLayer packs each group's weights once per forward pass
 /// and reuses the pack for every image of the batch; FcLayer's batched
-/// float path packs its weights on every call. No layer keeps a pack across
-/// passes.
+/// float path multiplies each weight once per call, so it calls Gemm and
+/// holds no pack. No layer keeps a pack across passes.
 class PackedA {
  public:
   PackedA() = default;
@@ -53,8 +53,10 @@ PackedA PackA(std::int64_t m, std::int64_t k, std::span<const float> a);
 void GemmPacked(const PackedA& a, std::int64_t n, std::span<const float> b,
                 std::span<float> c);
 
-/// C[M,N] = A[M,K] * B[K,N], row-major, C overwritten. Packs A on the fly
-/// and runs the blocked kernel; use PackA + GemmPacked to amortize the pack.
+/// C[M,N] = A[M,K] * B[K,N], row-major, C overwritten. Runs GemmPacked's
+/// block loop, packing each A panel into a task-local buffer just before
+/// the microkernel reads it: bitwise GemmPacked(PackA(m, k, a), ...), with
+/// no M*K allocation. Use PackA + GemmPacked when one A meets several B.
 void Gemm(std::int64_t m, std::int64_t n, std::int64_t k,
           std::span<const float> a, std::span<const float> b,
           std::span<float> c);

@@ -119,6 +119,31 @@ TEST_F(CheckpointTest, FinishBeforeDoneThrows) {
   EXPECT_THROW((void)engine.Finish(), CheckError);
 }
 
+TEST_F(CheckpointTest, FinishedEngineRefusesFinishAndCheckpoint) {
+  // Finish() selects the latency percentiles in place, reordering the
+  // engine's samples, so nothing may read them after it: not a second
+  // Finish(), and not a Checkpoint(), whose bytes carry them. A Restore()
+  // replaces every sample and resumes the engine.
+  const double duration = 60.0;
+  const auto trace = PoissonTrace(10.0, duration, 5);
+  const FaultSchedule faults = CrashStorm(1, duration, 3);
+  const ServingPolicy policy{
+      .max_batch = 16, .max_wait_s = 0.05, .deadline_s = 2.0};
+  const RetryPolicy retry{.max_retries = 2};
+  FaultedServingEngine engine(serving_, Fleet(), perf_, trace, duration,
+                              policy, retry, faults);
+  while (engine.Watermark() < duration / 2 && !engine.Done()) engine.Step();
+  const std::string midway = engine.Checkpoint();
+  while (!engine.Done()) engine.Step();
+  const ServingReport report = engine.Finish();
+  EXPECT_THROW((void)engine.Finish(), CheckError);
+  EXPECT_THROW((void)engine.Checkpoint(), CheckError);
+
+  engine.Restore(midway);
+  while (!engine.Done()) engine.Step();
+  ExpectReportsIdentical(engine.Finish(), report);
+}
+
 // The tentpole invariant: kill the run at *every* fault event, restore the
 // snapshot into a fresh engine, and the finished report must be bitwise
 // identical to the uninterrupted run.

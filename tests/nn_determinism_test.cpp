@@ -12,6 +12,7 @@
 #include "common/threading.h"
 #include "data/synthetic_dataset.h"
 #include "nn/conv_layer.h"
+#include "nn/model_parser.h"
 #include "nn/model_zoo.h"
 #include "pruning/filter_pruner.h"
 #include "pruning/magnitude_pruner.h"
@@ -48,8 +49,9 @@ TEST(Determinism, CaffeNetForwardIsBitwiseReproducible) {
 TEST(Determinism, CaffeNetForwardMatchesSerialExecution) {
   const nn::Network net = ScaledCaffeNet();
   const data::SyntheticImageDataset dataset(Shape{3, 227, 227}, 32, 8, 9);
-  // Batch 1 runs the fc layers through Gemv, batch 2 through GemmPacked.
-  for (const std::int64_t images : {1, 2}) {
+  // Batch 1 runs the fc layers through Gemv, batches 2 and 5 through Gemm;
+  // at batch 5 the image-wise layers run one pool task per image.
+  for (const std::int64_t images : {1, 2, 5}) {
     SCOPED_TRACE(::testing::Message() << "batch " << images);
     const Tensor batch = dataset.Batch(0, images);
 
@@ -93,7 +95,7 @@ TEST(Determinism, PrunedCsrForwardMatchesSerialExecution) {
       << "pruning did not activate any CSR layer";
   const data::SyntheticImageDataset dataset(Shape{3, 227, 227}, 32, 8, 9);
   // Batch 1 runs the fc layers through CSR MultiplyVector.
-  for (const std::int64_t images : {1, 2}) {
+  for (const std::int64_t images : {1, 2, 5}) {
     SCOPED_TRACE(::testing::Message() << "batch " << images);
     const Tensor batch = dataset.Batch(0, images);
 
@@ -158,7 +160,7 @@ TEST(Determinism, Int8ForwardMatchesSerialExecution) {
   ASSERT_GT(int8_layers, 0) << "int8 mode did not activate any conv layer";
   const data::SyntheticImageDataset dataset(Shape{3, 227, 227}, 32, 8, 9);
   // Batch 1 runs the fc layers through GemmInt8 at one column.
-  for (const std::int64_t images : {1, 2}) {
+  for (const std::int64_t images : {1, 2, 5}) {
     SCOPED_TRACE(::testing::Message() << "batch " << images);
     const Tensor batch = dataset.Batch(0, images);
 
@@ -217,6 +219,82 @@ TEST(Determinism, PrunedInt8MixedFormatForwardMatchesSerialExecution) {
                            pooled.size() * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
                            pooled.size() * sizeof(float)));
+}
+
+TEST(Determinism, GoogLeNetForwardMatchesSerialExecution) {
+  // GoogLeNet adds what CaffeNet lacks: concat, 1x1 convs that multiply the
+  // image in place of a column buffer, and an average pool.
+  nn::ModelConfig config;
+  config.channel_scale = 0.1;
+  config.num_classes = 32;
+  config.weight_seed = 778;
+  const nn::Network net = nn::BuildGoogLeNet(config);
+  const data::SyntheticImageDataset dataset(Shape{3, 224, 224}, 32, 8, 10);
+  const Tensor batch = dataset.Batch(0, 5);
+
+  const std::vector<float> pooled = Logits(net, batch);
+  std::vector<float> serial;
+  {
+    ScopedSerial serial_scope;
+    serial = Logits(net, batch);
+  }
+  ASSERT_EQ(pooled.size(), serial.size());
+  EXPECT_EQ(0, std::memcmp(pooled.data(), serial.data(),
+                           pooled.size() * sizeof(float)));
+}
+
+TEST(Determinism, ImageWiseLayersGiveEachImageItsBatchOneBits) {
+  // Every layer here maps one image to one image, so each image of a batch
+  // must come out bitwise as it does alone: the property that lets these
+  // layers run one pool task per image. conv1 has a 400-deep patch and
+  // 2,304 output pixels (two k blocks, three column blocks), conv2 is
+  // grouped, and `proj` multiplies its input in place of a column buffer.
+  // The dense, CSR and int8 conv paths each run.
+  constexpr char kModel[] = R"(
+network imagewise
+input 16 48 48
+conv conv1 out=64 kernel=5 pad=2
+relu relu1
+lrn norm1 size=5
+maxpool pool1 kernel=3 stride=2
+conv conv2 out=48 kernel=3 pad=1 groups=2
+relu relu2
+conv proj out=16 kernel=1 from=relu2
+avgpool avg kernel=3 stride=1 pad=1 from=relu2
+concat mixed from=proj,avg
+)";
+  constexpr std::int64_t kBatch = 5;
+  const data::SyntheticImageDataset dataset(Shape{16, 48, 48}, 4, kBatch, 11);
+  const Tensor batch = dataset.Batch(0, kBatch);
+  for (const KernelFormat format :
+       {KernelFormat::kFloat, KernelFormat::kCsr, KernelFormat::kInt8}) {
+    SCOPED_TRACE(::testing::Message() << "format " << ToString(format));
+    nn::Network net = nn::ParseModel(kModel, /*weight_seed=*/12);
+    if (format == KernelFormat::kCsr) {
+      pruning::MagnitudePruner pruner;
+      for (const std::string& name : net.WeightedLayerNames()) {
+        pruner.Prune(*net.FindLayer(name), 0.85);
+      }
+    }
+    net.SetInt8Execution(format == KernelFormat::kInt8);
+    for (const std::string& name : net.WeightedLayerNames()) {
+      ASSERT_EQ(dynamic_cast<const nn::ConvLayer&>(*net.FindLayer(name))
+                    .Format(),
+                format)
+          << name;
+    }
+    const std::vector<float> together = Logits(net, batch);
+    const std::size_t image = together.size() / kBatch;
+    for (std::int64_t img = 0; img < kBatch; ++img) {
+      const std::vector<float> alone = Logits(net, dataset.Batch(img, 1));
+      ASSERT_EQ(alone.size(), image);
+      EXPECT_EQ(0, std::memcmp(alone.data(),
+                               together.data() +
+                                   static_cast<std::size_t>(img) * image,
+                               image * sizeof(float)))
+          << "image " << img;
+    }
+  }
 }
 
 TEST(Determinism, TinyCnnForwardIsBitwiseReproducible) {

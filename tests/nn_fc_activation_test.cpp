@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -128,6 +133,39 @@ TEST(ReluLayer, ClampsNegatives) {
   EXPECT_FLOAT_EQ(out.At(1), 0.0f);
   EXPECT_FLOAT_EQ(out.At(2), 2.0f);
   EXPECT_FLOAT_EQ(out.At(3), 0.0f);
+}
+
+TEST(ReluLayer, MatchesStdMaxBitwise) {
+  // EXPECT_FLOAT_EQ cannot tell -0 from +0 or one NaN from another, so
+  // compare bits with std::max(v, 0.0f): NaN payloads and -0 pass through,
+  // negative denormals clamp to +0. 19 values per image cover the vector
+  // body and the scalar tail, and batch 3 the per-image split.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> values = {
+      -1.0f, 0.0f,  -0.0f,   nan,     -nan,   inf,   -inf,
+      denorm, -denorm, 2.5f, -3.5f,  1e-38f, -1e-38f, 3.4e38f,
+      -3.4e38f, 7.0f, -7.0f, nan,    -0.0f};
+  constexpr std::int64_t kBatch = 3;
+  const auto count = static_cast<std::int64_t>(values.size());
+  std::vector<float> data;
+  for (std::int64_t b = 0; b < kBatch; ++b) {
+    data.insert(data.end(), values.begin(), values.end());
+  }
+  Tensor in(Shape{kBatch, count, 1, 1}, data);
+  const ReluLayer relu("r");
+  const Tensor out = relu.Forward({&in});
+  const Tensor in_place = relu.ForwardInPlace(Tensor(in));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const float want = std::max(data[i], 0.0f);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(out.Data()[i]),
+              std::bit_cast<std::uint32_t>(want))
+        << "element " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(in_place.Data()[i]),
+              std::bit_cast<std::uint32_t>(want))
+        << "element " << i;
+  }
 }
 
 TEST(SoftmaxLayer, RowsSumToOne) {

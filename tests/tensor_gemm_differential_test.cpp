@@ -141,24 +141,36 @@ TEST(GemmDifferential, PackedMatchesNaiveOnTileStraddlingShapes) {
 }
 
 TEST(GemmDifferential, PackedAReusedAcrossMultiplies) {
-  // One PackA serving several B operands (the conv/fc weight-reuse pattern)
-  // must give bitwise the same answer as the pack-on-the-fly entry point.
-  constexpr std::int64_t m = 23, n = 57, k = 301;
+  // One PackA serving several B operands (the conv weight-reuse pattern)
+  // must give bitwise the same answer as Gemm, which packs each A panel in
+  // place just before the microkernel reads it. The shapes straddle the
+  // row tile (kMr = 6), the k block (kKc = 256) and the column block
+  // (kNc = 1024), at the batched fc layer's narrow n and past one block.
+  struct Shape {
+    std::int64_t m, k;
+  };
+  constexpr Shape kShapes[] = {{23, 301}, {5, 255}, {6, 256}, {7, 257},
+                               {13, 513}};
+  constexpr std::int64_t kColumns[] = {57, 1, 16, 17, 1025};
   Rng rng(404);
-  const auto a = RandomMatrix(rng, m * k);
-  const PackedA packed = PackA(m, k, a);
-  EXPECT_EQ(packed.M(), m);
-  EXPECT_EQ(packed.K(), k);
-  EXPECT_FALSE(packed.Empty());
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto b = RandomMatrix(rng, k * n);
-    std::vector<float> c_cached(static_cast<std::size_t>(m * n));
-    std::vector<float> c_fresh(static_cast<std::size_t>(m * n));
-    GemmPacked(packed, n, b, c_cached);
-    Gemm(m, n, k, a, b, c_fresh);
-    EXPECT_EQ(0, std::memcmp(c_cached.data(), c_fresh.data(),
-                             c_cached.size() * sizeof(float)))
-        << "trial " << trial;
+  for (const Shape& shape : kShapes) {
+    const std::int64_t m = shape.m;
+    const std::int64_t k = shape.k;
+    const auto a = RandomMatrix(rng, m * k);
+    const PackedA packed = PackA(m, k, a);
+    EXPECT_EQ(packed.M(), m);
+    EXPECT_EQ(packed.K(), k);
+    EXPECT_FALSE(packed.Empty());
+    for (const std::int64_t n : kColumns) {
+      const auto b = RandomMatrix(rng, k * n);
+      std::vector<float> c_cached(static_cast<std::size_t>(m * n));
+      std::vector<float> c_fresh(static_cast<std::size_t>(m * n));
+      GemmPacked(packed, n, b, c_cached);
+      Gemm(m, n, k, a, b, c_fresh);
+      EXPECT_EQ(0, std::memcmp(c_cached.data(), c_fresh.data(),
+                               c_cached.size() * sizeof(float)))
+          << "m=" << m << " n=" << n << " k=" << k;
+    }
   }
 }
 
