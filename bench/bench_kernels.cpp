@@ -39,7 +39,7 @@ void BM_Gemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 // Reference-vs-packed GFLOP/s on the conv GEMM shapes of the paper's
 // Table 1 models (m = out_ch/group, n = out pixels, k = patch size).
@@ -56,6 +56,9 @@ constexpr std::int64_t kTable1Shapes[][3] = {
     {64, 12544, 147}, {128, 784, 864},  {384, 49, 1728},
 };
 
+// A rate counter divides by the benchmark's time, so a kernel that runs on
+// the pool registers with UseRealTime(): the calling thread's CPU time is
+// mostly spent asleep on the pool's latch.
 void GemmGflops(benchmark::State& state, std::int64_t m, std::int64_t n,
                 std::int64_t k) {
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -75,7 +78,7 @@ void BM_GemmReferenceTable1(benchmark::State& state) {
   }
   GemmGflops(state, m, n, k);
 }
-BENCHMARK(BM_GemmReferenceTable1)->DenseRange(0, 6);
+BENCHMARK(BM_GemmReferenceTable1)->DenseRange(0, 6)->UseRealTime();
 
 // CaffeNet's fc layers at batch 16, as the batched fc layer multiplies
 // them (y^T = W x^T: m = outputs, n = images, k = inputs).
@@ -118,22 +121,22 @@ void TimePrepacked(benchmark::State& state, const std::int64_t (&shape)[3]) {
 void BM_GemmPackedTable1(benchmark::State& state) {
   TimeGemm(state, kTable1Shapes[state.range(0)]);
 }
-BENCHMARK(BM_GemmPackedTable1)->DenseRange(0, 6);
+BENCHMARK(BM_GemmPackedTable1)->DenseRange(0, 6)->UseRealTime();
 
 void BM_GemmPrepackedTable1(benchmark::State& state) {
   TimePrepacked(state, kTable1Shapes[state.range(0)]);
 }
-BENCHMARK(BM_GemmPrepackedTable1)->DenseRange(0, 6);
+BENCHMARK(BM_GemmPrepackedTable1)->DenseRange(0, 6)->UseRealTime();
 
 void BM_GemmPackedFcBatch16(benchmark::State& state) {
   TimeGemm(state, kFcBatch16Shapes[state.range(0)]);
 }
-BENCHMARK(BM_GemmPackedFcBatch16)->DenseRange(0, 2);
+BENCHMARK(BM_GemmPackedFcBatch16)->DenseRange(0, 2)->UseRealTime();
 
 void BM_GemmPrepackedFcBatch16(benchmark::State& state) {
   TimePrepacked(state, kFcBatch16Shapes[state.range(0)]);
 }
-BENCHMARK(BM_GemmPrepackedFcBatch16)->DenseRange(0, 2);
+BENCHMARK(BM_GemmPrepackedFcBatch16)->DenseRange(0, 2)->UseRealTime();
 
 void BM_SparseMultiply(benchmark::State& state) {
   // conv2-shaped: 256 x 1200 weights against 729 output pixels.
@@ -148,7 +151,7 @@ void BM_SparseMultiply(benchmark::State& state) {
   }
   state.counters["nnz"] = static_cast<double>(csr.Nnz());
 }
-BENCHMARK(BM_SparseMultiply)->Arg(0)->Arg(50)->Arg(90);
+BENCHMARK(BM_SparseMultiply)->Arg(0)->Arg(50)->Arg(90)->UseRealTime();
 
 void BM_Im2Col(benchmark::State& state) {
   ConvGeometry g{.in_channels = 48, .in_h = 27, .in_w = 27, .kernel_h = 5,
@@ -184,7 +187,7 @@ void BM_ConvForward(benchmark::State& state) {
   }
   state.counters["sparse_path"] = conv.UsesSparsePath() ? 1.0 : 0.0;
 }
-BENCHMARK(BM_ConvForward)->Arg(0)->Arg(60)->Arg(90);
+BENCHMARK(BM_ConvForward)->Arg(0)->Arg(60)->Arg(90)->UseRealTime();
 
 void BM_Col2Im(benchmark::State& state) {
   ConvGeometry g{.in_channels = 48, .in_h = 27, .in_w = 27, .kernel_h = 5,
@@ -212,7 +215,7 @@ void BM_TrainerStep(benchmark::State& state) {
     benchmark::DoNotOptimize(trainer.TrainBatch(images, labels));
   }
 }
-BENCHMARK(BM_TrainerStep);
+BENCHMARK(BM_TrainerStep)->UseRealTime();
 
 void BM_TinyCnnForward(benchmark::State& state) {
   const nn::Network net = nn::BuildTinyCnn();
@@ -224,6 +227,6 @@ void BM_TinyCnnForward(benchmark::State& state) {
     benchmark::DoNotOptimize(out.Data().data());
   }
 }
-BENCHMARK(BM_TinyCnnForward);
+BENCHMARK(BM_TinyCnnForward)->UseRealTime();
 
 }  // namespace

@@ -22,6 +22,21 @@ void SdcPolicy::Validate() const {
                "sample_fraction must be in [0, 1], got ", sample_fraction);
 }
 
+SdcDetectionProfile DetectionProfile(const SdcPolicy& policy) {
+  switch (policy.kind) {
+    case SdcPolicyKind::kOff:
+    case SdcPolicyKind::kNone:
+      return {};
+    case SdcPolicyKind::kAbft:
+      return {kAbftTimeOverhead, kAbftCoverage};
+    case SdcPolicyKind::kScrub:
+      return {policy.scrub_cost_s / policy.scrub_interval_s, 0.0};
+    case SdcPolicyKind::kReexecSample:
+      return {policy.sample_fraction, policy.sample_fraction};
+  }
+  return {};
+}
+
 SdcAssessment AssessSdc(const SdcPolicy& policy, RatePerHour sdc_rate,
                         Seconds run_seconds_q, double transient_fraction,
                         Seconds transient_window) {
@@ -71,39 +86,19 @@ SdcAssessment AssessSdc(const SdcPolicy& policy, RatePerHour sdc_rate,
       std::min(1.0, lambda * (1.0 - transient_fraction) *
                         persist_caught_by_scrub / 3600.0);
 
-  double coverage = 0.0;       // of still-live corrupted work
-  double machinery_cost = 0.0; // fractional time cost of the detector
-  switch (policy.kind) {
-    case SdcPolicyKind::kOff:
-      return out;
-    case SdcPolicyKind::kNone:
-      break;
-    case SdcPolicyKind::kAbft:
-      coverage = kAbftCoverage;
-      machinery_cost = kAbftTimeOverhead;
-      break;
-    case SdcPolicyKind::kScrub:
-      // The scrub itself only converts persistent corruption into
-      // detected-and-repaired work (folded into persist_span above);
-      // work inside the live windows still escapes.
-      machinery_cost = policy.scrub_cost_s / policy.scrub_interval_s;
-      break;
-    case SdcPolicyKind::kReexecSample:
-      coverage = policy.sample_fraction;
-      machinery_cost = policy.sample_fraction;
-      break;
-  }
+  const SdcDetectionProfile detection = DetectionProfile(policy);
 
   // Transient and persistent exposure are each clamped above, but their sum
   // is the fraction of one run and cannot exceed it either.
   const double live = std::min(1.0, f_transient + f_persist);
   out.corruption_fraction = std::min(1.0, live + f_scrub_repaired);
-  out.detected_fraction = std::min(1.0, live * coverage + f_scrub_repaired);
-  out.escape_fraction = std::max(0.0, live * (1.0 - coverage));
+  out.detected_fraction =
+      std::min(1.0, live * detection.coverage + f_scrub_repaired);
+  out.escape_fraction = std::max(0.0, live * (1.0 - detection.coverage));
   // Detected work is thrown away and redone, so it bills twice: once as the
   // wasted corrupted pass, once as the clean redo — plus the always-on
   // machinery.
-  out.time_overhead = machinery_cost + out.detected_fraction;
+  out.time_overhead = detection.machinery_cost + out.detected_fraction;
   return out;
 }
 

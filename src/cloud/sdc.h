@@ -87,6 +87,22 @@ struct SdcPolicy {
   void Validate() const;
 };
 
+/// What a policy's detector costs and catches: kOff and kNone run none;
+/// kAbft costs kAbftTimeOverhead and covers kAbftCoverage; kScrub costs
+/// scrub_cost_s / scrub_interval_s and covers no live corruption (a
+/// transient is over before the next sweep; AssessSdc prices the persistent
+/// corruption a sweep repairs); kReexecSample costs and covers
+/// sample_fraction.
+struct SdcDetectionProfile {
+  /// Always-on fractional time cost of the detection machinery.
+  double machinery_cost = 0.0;
+  /// Fraction of still-live corrupted work the detector catches.
+  double coverage = 0.0;
+};
+
+/// The detection profile of `policy` (not validated here).
+SdcDetectionProfile DetectionProfile(const SdcPolicy& policy);
+
 /// What a policy costs and lets through over one run.
 struct SdcAssessment {
   /// Fraction of the run's work computed in a corrupted state.

@@ -337,26 +337,7 @@ FaultedServingEngine::FaultedServingEngine(
   ValidateRedundancyPolicy(redundancy_);
   sdc_.Validate();
   faults_.Validate();
-  // Resolve the policy's detection profile once.
-  switch (sdc_.kind) {
-    case SdcPolicyKind::kOff:
-    case SdcPolicyKind::kNone:
-      break;  // no machinery, nothing detected
-    case SdcPolicyKind::kAbft:
-      sdc_machinery_ = kAbftTimeOverhead;
-      sdc_coverage_ = kAbftCoverage;
-      break;
-    case SdcPolicyKind::kScrub:
-      // The CRC scrub verifies resident weights between batches; a serving
-      // window (transient upset) is over before the next sweep sees it, so
-      // scrubbing pays its machinery yet everything in-window escapes.
-      sdc_machinery_ = sdc_.scrub_cost_s / sdc_.scrub_interval_s;
-      break;
-    case SdcPolicyKind::kReexecSample:
-      sdc_machinery_ = sdc_.sample_fraction;
-      sdc_coverage_ = sdc_.sample_fraction;
-      break;
-  }
+  sdc_detection_ = DetectionProfile(sdc_);
   CCPERF_CHECK(std::is_sorted(arrivals_.begin(), arrivals_.end()),
                "arrival trace must be time-sorted");
   CCPERF_CHECK(variant_accuracy_ > 0.0 && variant_accuracy_ <= 1.0,
@@ -621,12 +602,13 @@ void FaultedServingEngine::Step() {
   if (sdc_.kind != SdcPolicyKind::kOff) {
     // Always-on detection machinery stretches every batch; kOff skips this
     // whole block so detection-free runs stay bitwise identical.
-    service *= 1.0 + sdc_machinery_;
+    service *= 1.0 + sdc_detection_.machinery_cost;
     if (timeline.CorruptedAt(dispatch_at)) {
       ++report_.corrupted_batches;
       const auto n = static_cast<double>(++sdc_corrupt_seen_);
       const bool detected =
-          std::floor(n * sdc_coverage_) > std::floor((n - 1.0) * sdc_coverage_);
+          std::floor(n * sdc_detection_.coverage) >
+          std::floor((n - 1.0) * sdc_detection_.coverage);
       if (detected) {
         // The corrupted pass is discarded and the batch re-served — the GPU
         // pays for both, billing detection into utilization and cost.

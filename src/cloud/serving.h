@@ -289,11 +289,10 @@ class FaultedServingEngine {
   RedundancyPolicy redundancy_;
   SdcPolicy sdc_;
   // Derived once: the policy's always-on fractional service-time cost and
-  // its detection coverage. Detection is deterministic low-discrepancy
+  // its detection coverage c. Detection is deterministic low-discrepancy
   // thinning: corrupted batch n is detected iff floor(n*c) > floor((n-1)*c),
   // so exactly a long-run fraction c is caught with no randomness.
-  double sdc_machinery_ = 0.0;
-  double sdc_coverage_ = 0.0;
+  SdcDetectionProfile sdc_detection_;
   std::vector<const InstanceType*> gpu_types_;
   std::vector<int> gpu_instance_;
   std::vector<InstanceTimeline> timelines_;

@@ -1,16 +1,12 @@
-// 2-D convolution layer lowered to im2col + GEMM, with grouped convolution
-// (AlexNet-style) and sparse execution paths (CSR / block-CSR) for pruned
-// weights.
+// 2-D convolution layer lowered to im2col + the weighted layer's multiply,
+// with grouped convolution (AlexNet-style).
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "nn/layer.h"
+#include "nn/weighted_layer.h"
 #include "tensor/im2col.h"
-#include "tensor/quant.h"
-#include "tensor/sparse.h"
-#include "tensor/sparse_dispatch.h"
 
 namespace ccperf::nn {
 
@@ -23,15 +19,10 @@ struct ConvParams {
   std::int64_t groups = 1;
 };
 
-/// Convolution over NCHW input. Weights are OIHW with I = in_channels/groups.
-/// NotifyWeightsChanged() measures the weights' density and block fill and
-/// asks ChooseKernelFormat (tensor/sparse_dispatch.h) which engine wins:
-/// packed dense GEMM, blocked CSR, 4x4 block-CSR for block-structured
-/// pruning, or the per-channel int8 GEMM when quantized execution is
-/// enabled. Sparse and quantized builds are cached per group across forward
-/// passes, so execution time falls with pruning/quantization — the core
-/// mechanism of the paper's time-accuracy trade-off.
-class ConvLayer final : public Layer {
+/// Convolution over NCHW input. Weights are OIHW with I = in_channels/groups;
+/// each group's [out_channels/groups, patch] slice is one WeightedLayer
+/// panel, so the whole layer runs one kernel format.
+class ConvLayer final : public WeightedLayer {
  public:
   ConvLayer(std::string name, ConvParams params, std::int64_t in_channels);
 
@@ -43,40 +34,11 @@ class ConvLayer final : public Layer {
   [[nodiscard]] LayerCost Cost(const std::vector<Shape>& inputs) const override;
   [[nodiscard]] std::unique_ptr<Layer> Clone() const override;
 
-  [[nodiscard]] bool HasWeights() const override { return true; }
-  [[nodiscard]] Tensor& MutableWeights() override { return weights_; }
-  [[nodiscard]] const Tensor& Weights() const override { return weights_; }
-  [[nodiscard]] Tensor& MutableBias() override { return bias_; }
-  [[nodiscard]] const Tensor& Bias() const override { return bias_; }
-  void NotifyWeightsChanged() override;
-  [[nodiscard]] double WeightDensity() const override;
-  void SetInt8Execution(bool enabled) override;
-  [[nodiscard]] bool Int8Execution() const override { return int8_enabled_; }
-
-  /// Packed-weight format the current forward pass dispatches to.
-  [[nodiscard]] KernelFormat Format() const { return format_; }
-  /// Sparse engine the format maps onto (kDense for float and int8).
-  [[nodiscard]] SparseKernel Kernel() const { return ToSparseKernel(format_); }
-  /// True if the current forward pass would take a sparse (CSR/BSR) path.
-  [[nodiscard]] bool UsesSparsePath() const {
-    return Kernel() != SparseKernel::kDense;
-  }
-
  private:
   [[nodiscard]] ConvGeometry GeometryFor(const Shape& input) const;
 
   ConvParams params_;
   std::int64_t in_channels_;
-  Tensor weights_;  // [out_c, in_c/groups, k, k]
-  Tensor bias_;     // [out_c]
-  bool int8_enabled_ = false;
-  // Cached execution state, rebuilt by NotifyWeightsChanged(). One sparse /
-  // quantized matrix per group ([out_c/g, patch]); only the dispatched
-  // format is built.
-  KernelFormat format_ = KernelFormat::kFloat;
-  std::vector<CsrMatrix> csr_groups_;
-  std::vector<BsrMatrix> bsr_groups_;
-  std::vector<QuantizedPackedA> int8_groups_;
 };
 
 }  // namespace ccperf::nn

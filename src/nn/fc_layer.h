@@ -1,23 +1,18 @@
-// Fully-connected (inner product) layer with dense, CSR, and block-CSR
-// execution paths.
+// Fully-connected (inner product) layer: one weighted-layer panel.
 #pragma once
 
 #include <memory>
 
-#include "nn/layer.h"
-#include "tensor/quant.h"
-#include "tensor/sparse.h"
-#include "tensor/sparse_dispatch.h"
+#include "nn/weighted_layer.h"
 
 namespace ccperf::nn {
 
 /// y = W x + b over the flattened C*H*W input of each batch element.
-/// Output shape is [N, out_features, 1, 1]. NotifyWeightsChanged()
-/// dispatches to the fastest kernel for the weights' measured density and
-/// block fill (tensor/sparse_dispatch.h) and caches the sparse build.
-/// Batched inputs run one blocked multiply against the transposed batch on
-/// every path; batch 1 keeps the latency-oriented vector kernels.
-class FcLayer final : public Layer {
+/// Output shape is [N, out_features, 1, 1]. The weights [out, in] are one
+/// WeightedLayer panel. Batched inputs run one blocked multiply against the
+/// transposed batch on every format; batch 1 keeps the latency-oriented
+/// vector kernels.
+class FcLayer final : public WeightedLayer {
  public:
   FcLayer(std::string name, std::int64_t in_features,
           std::int64_t out_features);
@@ -30,37 +25,9 @@ class FcLayer final : public Layer {
   [[nodiscard]] LayerCost Cost(const std::vector<Shape>& inputs) const override;
   [[nodiscard]] std::unique_ptr<Layer> Clone() const override;
 
-  [[nodiscard]] bool HasWeights() const override { return true; }
-  [[nodiscard]] Tensor& MutableWeights() override { return weights_; }
-  [[nodiscard]] const Tensor& Weights() const override { return weights_; }
-  [[nodiscard]] Tensor& MutableBias() override { return bias_; }
-  [[nodiscard]] const Tensor& Bias() const override { return bias_; }
-  void NotifyWeightsChanged() override;
-  [[nodiscard]] double WeightDensity() const override;
-  void SetInt8Execution(bool enabled) override;
-  [[nodiscard]] bool Int8Execution() const override { return int8_enabled_; }
-
-  /// Packed-weight format the current forward pass dispatches to.
-  [[nodiscard]] KernelFormat Format() const { return format_; }
-  /// Sparse engine the format maps onto (kDense for float and int8).
-  [[nodiscard]] SparseKernel Kernel() const { return ToSparseKernel(format_); }
-  /// True if the current forward pass would take a sparse (CSR/BSR) path.
-  [[nodiscard]] bool UsesSparsePath() const {
-    return Kernel() != SparseKernel::kDense;
-  }
-
  private:
   std::int64_t in_features_;
   std::int64_t out_features_;
-  Tensor weights_;  // [out_features, in_features]
-  Tensor bias_;     // [out_features]
-  bool int8_enabled_ = false;
-  // Cached execution state, rebuilt by NotifyWeightsChanged(); only the
-  // dispatched format is built.
-  KernelFormat format_ = KernelFormat::kFloat;
-  CsrMatrix csr_;
-  BsrMatrix bsr_;
-  QuantizedPackedA int8_;
 };
 
 }  // namespace ccperf::nn

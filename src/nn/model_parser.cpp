@@ -349,13 +349,11 @@ std::string FormatModel(const Network& net) {
             << " stride=" << conv.Params().stride
             << " pad=" << conv.Params().pad;
         if (conv.Params().groups != 1) out << " groups=" << conv.Params().groups;
-        if (conv.Int8Execution()) out << " int8=1";
         break;
       }
       case LayerKind::kFullyConnected: {
         const auto& fc = static_cast<const FcLayer&>(layer);
         out << "fc " << fc.Name() << " out=" << fc.OutFeatures();
-        if (fc.Int8Execution()) out << " int8=1";
         break;
       }
       case LayerKind::kMaxPool:
@@ -382,6 +380,7 @@ std::string FormatModel(const Network& net) {
       case LayerKind::kConcat: out << "concat " << layer.Name(); break;
       case LayerKind::kInput: break;
     }
+    if (layer.Int8Execution()) out << " int8=1";
     // Emit explicit wiring when it deviates from simple chaining.
     const auto& inputs = net.NodeInputs(i);
     const bool chains = inputs.size() == 1 &&

@@ -2,10 +2,10 @@
 //
 // Gemm is the public entry point: a blocked, packed, register-tiled kernel
 // parallelized over row panels via the global thread pool. PackA lets
-// weight-stationary callers (the conv layer) amortize the A-side packing
-// across many multiplies. GemmReference is the previous row-panel kernel,
-// kept as the fast differential-testing oracle; NaiveGemm is the O(MNK)
-// triple loop used as the ground-truth reference in unit tests.
+// weight-stationary callers (a conv layer's groups) amortize the A-side
+// packing across many multiplies. GemmReference is the previous row-panel
+// kernel, kept as the fast differential-testing oracle; NaiveGemm is the
+// O(MNK) triple loop used as the ground-truth reference in unit tests.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +18,11 @@ namespace ccperf {
 /// k-major within a panel, zero-padded tail rows). The layout is an
 /// implementation detail of gemm.cpp; treat instances as opaque. Build once
 /// with PackA and reuse across GemmPacked calls while the matrix is
-/// unchanged. ConvLayer packs each group's weights once per forward pass
-/// and reuses the pack for every image of the batch; FcLayer's batched
-/// float path multiplies each weight once per call, so it calls Gemm and
-/// holds no pack. No layer keeps a pack across passes.
+/// unchanged. A float nn::WeightedLayer packs its panels once per forward
+/// pass (PackFloatPanels): a conv reuses each group's pack for every image
+/// of the batch, while the batched fc multiplies each weight once per call,
+/// so it passes no pack and its multiply runs Gemm. No layer keeps a pack
+/// across passes.
 class PackedA {
  public:
   PackedA() = default;

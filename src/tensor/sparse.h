@@ -48,8 +48,9 @@ class CsrMatrix {
   void MultiplyDense(std::span<const float> b, std::int64_t n,
                      std::span<float> c) const;
 
-  /// The pre-blocking scalar row-loop kernel, kept as the portable fallback
-  /// and as the differential-test oracle for the vectorized path.
+  /// The pre-blocking scalar row-loop kernel: the differential-test oracle
+  /// for the vectorized path. No program runs it; built without kernel ISA
+  /// flags, sparse_kernels.cpp runs its own loops on the scalar schedule.
   void MultiplyDenseScalar(std::span<const float> b, std::int64_t n,
                            std::span<float> c) const;
 

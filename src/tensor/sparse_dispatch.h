@@ -1,12 +1,12 @@
-// Density -> kernel dispatch policy shared by every sparse call site.
+// Density -> kernel dispatch policy: nn::WeightedLayer runs it on its
+// weights, and the cloud time model mirrors it (AnalyticQuantTimeFactor).
 //
-// One measured policy replaces the two duplicated kSparseThreshold constants
-// that used to live in conv_layer.h / fc_layer.h. The crossover densities
-// below are calibrated against the packed dense GEMM on the conv2 shape
-// (256 x 1200 weights x 729 pixels) by bench_ablation_sparse_vs_dense; the
-// sweep is checked into bench_results/sparse_crossover.csv and can be
-// regenerated with scripts/calibrate_sparse_threshold.sh. Re-run the
-// calibration whenever either kernel family changes materially.
+// The crossover densities below are calibrated against the packed dense
+// GEMM on the conv2 shape (256 x 1200 weights x 729 pixels) by
+// bench_ablation_sparse_vs_dense; the sweep is checked into
+// bench_results/sparse_crossover.csv and can be regenerated with
+// scripts/calibrate_sparse_threshold.sh. Re-run the calibration whenever
+// either kernel family changes materially.
 #pragma once
 
 namespace ccperf {

@@ -9,6 +9,7 @@
 // deterministic kernels on the same weights.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -153,6 +154,53 @@ TEST(KernelDispatch, ConvInt8OverridesBsrAtModerateBlockPruning) {
   input.FillGaussian(rng, 0.0f, 1.0f);
   ExpectBitwiseEqual(ForwardVec(layer, input), FreshForward(layer, input),
                      "int8-over-bsr vs rebuilt");
+}
+
+TEST(KernelDispatch, GroupedConvRunsOneFormatForAllGroups) {
+  // Group 0 dense, group 1 zeroed: density 0.5 and mean block fill 1.0 put
+  // the whole layer on BSR, although group 0 alone would dispatch float.
+  ConvParams params;
+  params.out_channels = 16;
+  params.kernel = 3;
+  params.groups = 2;
+  ConvLayer layer("conv", params, 16);
+  Rng rng(95);
+  layer.MutableWeights().FillGaussian(rng, 0.0f, 0.5f);
+  layer.MutableBias().FillGaussian(rng, 0.1f, 0.05f);
+  const std::span<float> w = layer.MutableWeights().Data();
+  std::fill(w.begin() + static_cast<std::ptrdiff_t>(w.size() / 2), w.end(),
+            0.0f);
+  layer.NotifyWeightsChanged();
+  EXPECT_DOUBLE_EQ(layer.WeightDensity(), 0.5);
+  EXPECT_EQ(layer.Format(), KernelFormat::kBsr);
+
+  Tensor input(Shape{2, 16, 7, 7});
+  input.FillGaussian(rng, 0.0f, 1.0f);
+  const std::vector<float> got = ForwardVec(layer, input);
+  ExpectBitwiseEqual(got, FreshForward(layer, input), "bsr vs rebuilt");
+
+  // Float reference: the direct convolution (kernel 3, stride 1, pad 0).
+  const Tensor& weights = layer.Weights();
+  std::size_t i = 0;
+  for (std::int64_t img = 0; img < 2; ++img) {
+    for (std::int64_t oc = 0; oc < 16; ++oc) {
+      const std::int64_t first_in = (oc / 8) * 8;  // the group's channels
+      for (std::int64_t oh = 0; oh < 5; ++oh) {
+        for (std::int64_t ow = 0; ow < 5; ++ow, ++i) {
+          float want = layer.Bias().At(oc);
+          for (std::int64_t ic = 0; ic < 8; ++ic) {
+            for (std::int64_t kh = 0; kh < 3; ++kh) {
+              for (std::int64_t kw = 0; kw < 3; ++kw) {
+                want += weights.At4(oc, ic, kh, kw) *
+                        input.At4(img, first_in + ic, oh + kh, ow + kw);
+              }
+            }
+          }
+          EXPECT_NEAR(got[i], want, 1e-4f) << "output " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelDispatch, FcFormatFollowsWeightChanges) {
